@@ -1,12 +1,13 @@
-"""Vectorized crossbar solver speedups vs the loop-based reference.
+"""Production crossbar solver speedups vs the loop-based reference.
 
-Measures the three claims of the solver rework on the same machine in
+Measures the three claims of the solver design on the same machine in
 the same run and records them in ``BENCH_spice.json`` at the repo root:
 
-* **Nonlinear solve** — the structural-pattern assembly + frozen-LU
-  iterative refinement against :func:`repro.spice.reference
-  .reference_solve` (Python-loop stamps, fresh ``spsolve`` per
-  fixed-point iteration) at 32x32 and 64x64.  Asserted >= 10x at 64.
+* **Nonlinear solve** — structural-pattern assembly plus chord-Newton
+  with a lagged Jacobian (one LU on these arrays) against
+  :func:`repro.spice.reference.reference_solve` (Python-loop stamps,
+  damped fixed point, fresh ``spsolve`` per iteration) at 32x32 and
+  64x64.  Asserted >= 10x at 64.
 * **Batched solve** — ``solve_many`` over 32 input vectors against 32
   independent ``solve`` calls on a linear 64x64 network (one
   factorization vs 32).  Asserted >= 5x.
@@ -53,7 +54,7 @@ def _worst_case(device, size):
 def test_spice_solver_speedups(write_result):
     device = get_memristor_model("RRAM")
     record = {"device": "RRAM", "best_of": BEST_OF}
-    lines = ["Vectorized crossbar solver vs loop-based reference:"]
+    lines = ["Production crossbar solver vs loop-based reference:"]
 
     # Nonlinear solves ------------------------------------------------
     for size in (32, 64):

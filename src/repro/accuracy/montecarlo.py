@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.accuracy.interconnect import DEFAULT_SENSE_RESISTANCE
 from repro.accuracy.variation import sample_resistances
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SolverError
 from repro.obs import trace as obs_trace
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import JobSpec, content_key
@@ -84,6 +84,20 @@ def _draw_trial(
     return programmed, actual, inputs
 
 
+def _require_converged(converged, size: int) -> None:
+    """Raise :class:`SolverError` unless every solve converged.
+
+    A non-converged solve's voltages are not an answer, so they never
+    become error samples (and, raised from a worker, never reach the
+    result cache).
+    """
+    if not np.all(converged):
+        raise SolverError(
+            f"circuit solve of a {size}x{size} Monte-Carlo trial did not "
+            "converge"
+        )
+
+
 def _single_trial(
     device: MemristorModel,
     size: int,
@@ -110,6 +124,7 @@ def _single_trial(
     )
     if inputs_per_trial == 1:
         solution = network.solve(inputs)
+        _require_converged(solution.converged, size)
         ideal = ideal_output_voltages(programmed, inputs, sense_resistance)
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = (ideal - solution.output_voltages) / ideal
@@ -119,6 +134,7 @@ def _single_trial(
     )
     batch_inputs = np.vstack((inputs[np.newaxis, :], extra))
     batch = network.solve_many(batch_inputs)
+    _require_converged(batch.converged, size)
     ideal = ideal_output_voltages(
         programmed, batch_inputs, sense_resistance
     )
@@ -184,6 +200,7 @@ def _run_trial_batch(tasks: Sequence[Tuple]) -> List[np.ndarray]:
     size = tasks[0][1]
     with obs_trace.span("mc.batch", trials=len(tasks), size=size):
         batch = solve_batch(networks, np.stack(input_vectors))
+    _require_converged(batch.converged, size)
     errors: List[np.ndarray] = []
     for index, task in enumerate(tasks):
         sense_resistance = task[3]

@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.analysis.core import (
+    Rule,
     all_rules,
     analyze_paths,
     iter_python_files,
@@ -28,8 +29,31 @@ __all__ = ["add_lint_arguments", "run_lint"]
 _log = logging.getLogger("repro.analysis")
 
 
+def rule_range(rules: Sequence[Rule]) -> str:
+    """The span of ``rules``' ids, e.g. ``"R1-R9"``."""
+    ids = sorted((rule.rule_id for rule in rules), key=lambda i: (len(i), i))
+    return ids[0] if len(ids) == 1 else f"{ids[0]}-{ids[-1]}"
+
+
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``lint`` subcommand's flags to ``parser``."""
+    """Attach the ``lint`` subcommand's flags to ``parser``.
+
+    The help text names the registered rule range, read from the
+    registry when the help is rendered: importing the rule set at
+    parser build would cost every other CLI command its import time.
+    """
+    format_help = parser.format_help
+
+    def describe_then_format() -> str:
+        rules = all_rules()
+        parser.description = (
+            f"Run the project static-analysis rules "
+            f"({rule_range(rules)}); the project-analysis pass runs "
+            f"{rule_range([r for r in rules if r.needs_graph])}."
+        )
+        return format_help()
+
+    parser.format_help = describe_then_format  # type: ignore[method-assign]
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
         help="files/directories to analyze (default: src/repro)",
@@ -62,7 +86,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--graph", action=argparse.BooleanOptionalAction, default=True,
-        help="run the project-analysis pass (call graph, R7-R9); "
+        help="run the project-analysis pass (call-graph rules); "
         "--no-graph restricts to per-module rules",
     )
 

@@ -928,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the project static-analysis rules (R1-R5)",
+        help="run the project static-analysis rules",
     )
     from repro.analysis.lint import add_lint_arguments
 

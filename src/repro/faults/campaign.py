@@ -12,7 +12,7 @@ intervals.  Two network levels are supported:
   that makes the MNA system singular (e.g. an open wordline whose cells
   are all open too) surfaces as the structured
   :class:`~repro.errors.SolverError` and is counted as a *failed*
-  trial, never a crash.
+  trial, never a crash; so is a nonlinear solve that did not converge.
 * ``"mlp:a,b,..."`` — behaviour-level: a seeded random MLP
   (:func:`repro.nn.networks.mlp`) runs its fixed-point forward pass
   with every layer's weights corrupted by an independent mask
@@ -183,7 +183,8 @@ class CurvePoint:
 
     ``mean_error`` / ``std_error`` / ``ci95`` cover the *successful*
     trials (those whose faulted system was still solvable); ``failures``
-    counts trials whose mask made the MNA system singular.  When every
+    counts trials whose mask made the MNA system singular or whose
+    nonlinear solve did not converge.  When every
     trial failed the error statistics are ``None``.
     """
 
@@ -282,7 +283,8 @@ def _crossbar_error(
 
 
 def _failed_trial(fault_count: int) -> Dict[str, Any]:
-    """The trial dict of a singular (unsolvable) faulted system."""
+    """The trial dict of a faulted system with no answer: singular, or
+    its nonlinear solve did not converge."""
     return {
         "failed": True, "error": None, "fault_count": fault_count,
     }
@@ -309,6 +311,8 @@ def _crossbar_trial(
         solution = network.solve(inputs)
     except SolverError:
         # Singular faulted system (floating nodes): a *failed* trial.
+        return _failed_trial(mask.fault_count)
+    if not solution.converged:
         return _failed_trial(mask.fault_count)
     return _crossbar_error(
         programmed, inputs, sense_resistance,
@@ -441,7 +445,7 @@ def _run_trial_batch(tasks: List[Tuple]) -> List[Dict[str, Any]]:
             programmed, inputs, sense_resistance, fault_count = (
                 contexts[member]
             )
-            if batch.failed[member]:
+            if not batch.converged[member]:  # singular or non-converged
                 results[slot] = _failed_trial(fault_count)
             else:
                 results[slot] = _crossbar_error(

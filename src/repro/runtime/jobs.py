@@ -27,7 +27,9 @@ from typing import Any, Optional
 #: v2: canonical() float/dict-key fixes changed some serializations
 #: (-0.0, non-finite floats, mixed-type dict keys), so v1 rows must not
 #: be replayed against the new keys.
-SCHEMA_VERSION = "runtime-v2"
+#: v3: the circuit solver moved from a damped fixed point to
+#: chord-Newton, so solved voltages changed in their last bits.
+SCHEMA_VERSION = "runtime-v3"
 
 
 def canonical(value: Any) -> Any:

@@ -55,7 +55,8 @@ class RunMetrics:
         Resource usage accumulated at chunk boundaries by the engine:
         ``wall_seconds``, ``cpu_seconds`` (user+system, summed across
         workers), ``peak_rss_bytes`` (max over processes),
-        ``fixed_point_iterations``, ``batched_solves`` /
+        ``fixed_point_iterations`` (solver Newton rounds; the key
+        predates the Newton solver), ``batched_solves`` /
         ``pointwise_solves`` (see :func:`repro.runtime.pool.run_jobs`).
     """
 

@@ -517,8 +517,9 @@ def _usage_snapshot() -> Dict[str, float]:
 
     Wall/CPU seconds and peak RSS come from ``resource.getrusage``
     (``os.times`` fallback where unavailable, RSS 0 there); the solver
-    counters piggy-back so a chunk's fixed-point-iteration and
-    batched-vs-pointwise solve deltas ride the same snapshot.  The
+    counters piggy-back so a chunk's solver-round (historical key
+    ``fixed_point_iterations``) and batched-vs-pointwise solve deltas
+    ride the same snapshot.  The
     counters only move while observability is enabled — the deltas are
     simply zero in a disabled run.
     """

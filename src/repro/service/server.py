@@ -73,6 +73,13 @@ class ServiceServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server: ServiceServer
+    # Buffer each response and send it in one write when the handler
+    # returns (``handle_one_request`` flushes): headers and body written
+    # separately stall the body ~40 ms on kept-alive connections, where
+    # Nagle's algorithm waits for the client's delayed ACK.  The event
+    # stream flushes its own chunks; TCP_NODELAY keeps those prompt.
+    wbufsize = 64 * 1024
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
     @property

@@ -6,14 +6,15 @@ implements that baseline from scratch:
 
 * :mod:`~repro.spice.solver` — a modified-nodal-analysis solver over the
   ``M x N`` cell network with per-segment wire resistances and sense
-  resistors, iterating a fixed point over the nonlinear memristor V-I
+  resistors, Newton-iterating over the nonlinear memristor V-I
   characteristic (Sec. VI's "large number of non-linear Kirchhoff
   equations": ``2MN`` node voltages per solve).
 * :mod:`~repro.spice.netlist` — SPICE netlist export of the same network,
   the paper's hand-off path to external circuit simulators (Sec. IV.A).
-* :mod:`~repro.spice.reference` — the original loop-based solver, kept
-  as an executable specification for equivalence tests and the
-  ``BENCH_spice.json`` speedup benchmark.
+* :mod:`~repro.spice.reference` — the original loop-based damped
+  fixed-point solver, kept as an executable specification for
+  equivalence tests, the ``BENCH_spice.json`` speedup benchmark and the
+  Table III SPICE-style baseline.
 """
 
 from repro.spice.solver import (

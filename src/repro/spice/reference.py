@@ -1,16 +1,20 @@
 """Loop-based reference implementation of the MNA crossbar solve.
 
-This is the original (pre-vectorization) solver kept verbatim as an
-executable specification: Python-loop assembly of the ``2MN x 2MN``
-system, per-cell scalar nonlinear updates, and a fresh ``spsolve`` per
-fixed-point iteration.  It exists for two reasons:
+This is the original solver kept verbatim as an executable
+specification: Python-loop assembly of the ``2MN x 2MN`` system,
+per-cell scalar nonlinear updates, and a damped fixed-point iteration
+with a fresh ``spsolve`` per iteration — an independent algorithm from
+the production chord-Newton solver.  It exists for three reasons:
 
 * the equivalence suite (``tests/test_spice_vectorized.py``) pins the
-  vectorized solver to it within tight tolerances, so any change to the
+  production solver to it within tight tolerances, so any change to the
   fast path that alters results is caught immediately;
 * the performance benchmark (``benchmarks/test_spice_solver_perf.py``)
-  measures the vectorized solver's speedup against it on the same
-  machine in the same run (``BENCH_spice.json``).
+  measures the production solver's speedup against it on the same
+  machine in the same run (``BENCH_spice.json``);
+* Table III (``benchmarks/test_table3_speedup.py``) uses it as the
+  SPICE-style baseline: it re-stamps every element and solves afresh on
+  every iteration, the way a circuit simulator does.
 
 Never use this from production paths — that is the whole point.
 """
@@ -23,12 +27,15 @@ import scipy.sparse.linalg as spla
 
 from repro.errors import SolverError
 from repro.spice.solver import (
-    _DAMPING,
     _DEFAULT_MAX_ITERATIONS,
     _DEFAULT_TOLERANCE,
     CrossbarNetwork,
     CrossbarSolution,
 )
+
+# Under-relaxation of the damped fixed point: each iteration moves the
+# conductances 70% of the way to the device law at the present voltages.
+_DAMPING = 0.7
 
 
 def reference_assemble(

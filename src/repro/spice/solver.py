@@ -7,11 +7,31 @@ segment per cell), and ``N`` sense resistors ``R_s`` to ground.  Input
 voltage sources drive the wordlines through the first wire segment.
 
 Unknowns are the ``2MN`` internal node voltages (the input/output node of
-every cell).  The memristor nonlinearity is handled by a damped
-fixed-point iteration that re-evaluates each cell's effective conductance
-at its present operating voltage — the "slow, exact" path that MNSIM's
-analytic model is validated against and benchmarked for speed-up
-(Tables II/III, Fig. 5).
+every cell).  The memristor law ``I = (V0/R) sinh(V/V0)`` is solved by a
+chord-Newton iteration on the KCL residual — the "slow, exact" path that
+MNSIM's analytic model is validated against and benchmarked for
+speed-up (Tables II/III, Fig. 5):
+
+* **Round 1 is the linear solve.**  The MNA matrix at the programmed
+  conductances is LU-factorized once.  Since ``cosh(0) = 1`` that same
+  LU is the Jacobian at ``V = 0``, so the first round's node voltages
+  are the ohmic answer, and for an ideal device the solve stops there.
+* **Later rounds are chord steps.**  Each round steps ``V -= J^-1 F(V)``
+  on the exact KCL residual ``F(V) = A(G_sec(V)) V - b``, with the
+  *secant* conductances ``I(V)/V``
+  (:meth:`~repro.tech.memristor.MemristorModel.actual_resistance`).  It
+  is computed as ``V = J^-1 (b + stamp((G_jac - G_sec) v_cell))``, in
+  which the wire and sense stamps cancel exactly: no per-round
+  assembly, and no rounding noise from shorted lines' 1e6 S segments.
+* **The Jacobian is lagged.**  It is the same four-entry cell stamp with
+  the *differential* conductance ``cosh(V/V0)/R``
+  (:meth:`~repro.tech.memristor.MemristorModel.differential_conductance`),
+  assembled by the same :meth:`_CrossbarStructure.matrix`.  It is
+  refactorized only when a step shrinks by less than
+  :data:`_JACOBIAN_REFRESH_RATIO` against the previous one; the solve
+  stops once ``max |step|`` falls below ``tolerance``.  The returned
+  conductances are the secant ones at the final voltages, so
+  ``cell_currents`` is ``I(V)`` itself.
 
 Performance architecture (see DESIGN.md S3):
 
@@ -21,29 +41,27 @@ Performance architecture (see DESIGN.md S3):
   index arrays and the COO→CSC dedup/permutation maps once per shape
   (cached module-wide), so every subsequent assembly is a handful of
   numpy array operations — no Python loops, no index recomputation.
-* **Vectorized nonlinear update.**  Each fixed-point iteration evaluates
-  :meth:`~repro.tech.memristor.MemristorModel.actual_resistance` on the
+* **Vectorized device law.**  Each round evaluates the sinh law on the
   whole ``(M, N)`` cell-voltage grid at once.
-* **Factorization reuse.**  Each assembled matrix is LU-factorized once
-  (``scipy.sparse.linalg.splu``) and back-substituted for however many
-  right-hand sides need it: :meth:`CrossbarNetwork.solve_many` solves a
-  whole batch of input vectors against a single factorization in the
-  linear regime, and :meth:`CrossbarNetwork.factorized` exposes the same
-  helper to other modules (RC transient analysis reuses it).
+* **Factorization reuse.**  One LU serves every chord round until the
+  contraction slows, and in the linear regime
+  :meth:`CrossbarNetwork.solve_many` back-substitutes a whole batch of
+  input vectors against a single factorization;
+  :meth:`CrossbarNetwork.factorized` exposes the same helper to other
+  modules (RC transient analysis reuses it).
 
 ``benchmarks/test_spice_solver_perf.py`` tracks the measured speedups in
 ``BENCH_spice.json`` at the repo root.
 
 Observability (DESIGN.md S18): with :func:`repro.obs.enable` on, every
-solve opens ``solver.solve`` / ``solver.solve_many`` spans with nested
-``solver.assemble`` / ``solver.factorize`` / ``solver.refine`` child
-spans, and structural-assembly cache hits, factorizations, refinement
-accepts and refactorize-on-stall events are counted on
-``repro_solver_events_total``.  Per-iteration residual deltas are
-attached to the solve span only under ``repro.obs.enable(debug=True)``.
-All hooks are no-ops by default — the disabled span is a cached
-singleton costing ~0.1 us, held under 2% of even the smallest
-benchmarked assembly.
+solve opens ``solver.solve`` / ``solver.solve_many`` /
+``solver.solve_batch`` spans with nested ``solver.assemble`` /
+``solver.factorize`` child spans, and structural-assembly cache hits,
+factorizations and rounds are counted on ``repro_solver_events_total``.
+Per-round step sizes are attached to the solve span only under
+``repro.obs.enable(debug=True)``.  All hooks are no-ops by default — the
+disabled span is a cached singleton costing ~0.1 us, held under 2% of
+even the smallest benchmarked assembly.
 
 Pickle-safety contract: :class:`CrossbarNetwork`, :class:`CrossbarSolution`
 and every solver input (arrays, :class:`~repro.tech.memristor.
@@ -90,7 +108,7 @@ def _count_solver_event(event: str, amount: int = 1) -> None:
     if _obs_trace.enabled():
         _obs_metrics.counter(
             "repro_solver_events_total",
-            "Crossbar-solver events (assembly cache, factorize, refine)",
+            "Crossbar-solver events (assembly cache, factorize, rounds)",
         ).inc(amount, event=event)
 
 # Wire resistances below this are clamped to keep the MNA matrix
@@ -99,18 +117,11 @@ _MIN_WIRE_RESISTANCE = 1e-6
 
 _DEFAULT_TOLERANCE = 1e-10
 _DEFAULT_MAX_ITERATIONS = 60
-_DAMPING = 0.7
 
-# Iterative-refinement knobs for the frozen-LU nonlinear path: each
-# fixed-point iteration perturbs the matrix only slightly (damped
-# conductance updates on entries small against the wire conductances),
-# so refinement against the first iteration's LU contracts by orders of
-# magnitude per step until it hits the rounding floor of the system's
-# conditioning.  A step is accepted at the target tolerance or at
-# stagnation below the acceptance ceiling; anything worse refactorizes.
-_REFINE_TOLERANCE = 1e-12
-_REFINE_ACCEPT = 2e-12
-_MAX_REFINE_STEPS = 30
+# Chord-Newton keeps its LU while each step shrinks to at most this
+# fraction of the previous one; a slower contraction refactorizes the
+# Jacobian at the current operating point.
+_JACOBIAN_REFRESH_RATIO = 0.25
 
 
 class _CrossbarStructure:
@@ -118,10 +129,10 @@ class _CrossbarStructure:
 
     Everything here depends only on the crossbar *shape*, so one instance
     serves every :class:`CrossbarNetwork` of that shape — Monte-Carlo
-    trials, wire-resistance sweeps and nonlinear iterations all reuse it.
+    trials, wire-resistance sweeps and Newton rounds all reuse it.
 
     The COO entry layout is fixed: first ``4MN`` cell-stamp entries
-    (``+g, +g, -g, -g`` per cell, blocked so the per-iteration values
+    (``+g, +g, -g, -g`` per cell, blocked so the per-round values
     vector is one ``concatenate`` of conductance views), then the
     constant wire/sense/input entries whose values depend only on
     ``r`` / ``R_s``.  ``order``/``starts``/``indices``/``indptr`` map the
@@ -244,26 +255,6 @@ class _CrossbarStructure:
             shape=(self.num_nodes, self.num_nodes),
         )
 
-    def matrix_batch(
-        self,
-        cell_conductances: np.ndarray,  # (B, M, N)
-        constant_tails: np.ndarray,  # (B, T)
-    ) -> np.ndarray:
-        """CSC ``data`` rows for a whole stack of same-shape crossbars.
-
-        Stacks every member's COO values into one ``(B, 4MN + T)``
-        array and rewrites all CSC value arrays in a single
-        ``np.add.reduceat`` sweep along the entry axis.  Each row is
-        bit-identical to what :meth:`matrix` computes for that member —
-        ``reduceat`` sums the same entries in the same order — so
-        batched assembly never perturbs results.  Pair a row with the
-        shared ``csc_indices`` / ``csc_indptr`` to materialise the
-        member's matrix.
-        """
-        g = cell_conductances.reshape(cell_conductances.shape[0], -1)
-        values = np.concatenate((g, g, -g, -g, constant_tails), axis=1)
-        return np.add.reduceat(values[:, self.order], self.starts, axis=1)
-
 
 _STRUCTURE_CACHE: Dict[Tuple[int, int], _CrossbarStructure] = {}
 
@@ -314,9 +305,11 @@ class CrossbarSolution:
     total_power:
         Total power delivered by the sources, watts.
     iterations:
-        Nonlinear fixed-point iterations performed (1 for ideal devices).
+        Newton rounds performed, the first being the linear solve (so
+        1 for ideal devices).
     converged:
-        Whether the nonlinear iteration met the tolerance.
+        Whether the last Newton step fell below the tolerance.  Callers
+        must not turn a non-converged solution into a result.
     """
 
     output_voltages: np.ndarray
@@ -588,11 +581,10 @@ class CrossbarNetwork:
     ) -> CrossbarSolution:
         """Solve the network for the given input voltage vector.
 
-        Runs the linear MNA solve, then (for nonlinear devices) iterates:
-        evaluate the cell-voltage grid, update every cell's effective
-        conductance ``I(V)/V`` from the sinh characteristic in one array
-        operation, and re-solve, with damping, until node voltages stop
-        moving.
+        Runs the linear MNA solve, then (for nonlinear devices)
+        chord-Newton rounds on the KCL residual of the sinh law until
+        the largest node-voltage step falls below ``tolerance`` volts or
+        ``max_iterations`` rounds have run (``converged=False``).
 
         Raises
         ------
@@ -617,85 +609,93 @@ class CrossbarNetwork:
         tolerance: float,
         max_iterations: int,
     ) -> Tuple[np.ndarray, np.ndarray, int, bool]:
-        """Fixed-point node solve; returns (V, G, iterations, converged).
-
-        The RHS depends only on ``inputs``, so it is built once.  The
-        system is LU-factorized on the first iteration only; later
-        iterations perturb the matrix slightly (damped conductance
-        updates), so their solves run as iterative refinement against
-        the frozen factorization — a couple of matvec/back-substitution
-        steps instead of a fresh ``splu``.  If refinement ever stalls,
-        the solver transparently refactorizes at the current matrix.
-        """
-        conductances = self._base_conductances()
-        rhs = self._rhs(inputs)
-        voltages = None
-        converged = True
-        iterations = 0
+        """:meth:`_newton` inside the ``solver.solve`` span."""
         nonlinear = self._is_nonlinear()
-
-        max_rounds = max_iterations if nonlinear else 1
-        previous = None
-        lu = None
         debug = _obs_trace.debug_enabled()
-        residuals = [] if debug else None
+        residuals: Optional[List[float]] = [] if debug else None
         with _obs_trace.span(
             "solver.solve", rows=self.rows, cols=self.cols,
             nonlinear=nonlinear,
         ) as solve_span:
-            # Read after the loop (returned iteration count) — a B007
-            # blind spot.
-            for iterations in range(1, max_rounds + 1):  # noqa: B007
-                matrix = self._matrix(conductances)
-                if lu is None:
-                    lu = self._factorize(matrix)
-                    voltages = lu.solve(rhs)
-                else:
-                    with _obs_trace.span("solver.refine"):
-                        voltages = _refined_solve(lu, matrix, rhs, voltages)
-                    if voltages is None:
-                        # Refinement stalled against the frozen LU:
-                        # refactorize at the current operating point.
-                        _count_solver_event("refactorize_on_stall")
-                        lu = self._factorize(matrix)
-                        voltages = lu.solve(rhs)
-                    else:
-                        _count_solver_event("refine_accept")
-                if np.any(~np.isfinite(voltages)):
-                    raise SolverError(
-                        "solver produced non-finite node voltages"
-                    )
-
-                if not nonlinear:
-                    break
-
-                v_cell = self._cell_voltages(voltages)
-                new_cond = 1.0 / self.device.actual_resistance(
-                    self.resistances, v_cell
-                )
-                if self._cell_gain is not None:
-                    new_cond = new_cond * self._cell_gain
-                conductances = (
-                    _DAMPING * new_cond + (1.0 - _DAMPING) * conductances
-                )
-
-                if previous is not None:
-                    delta = float(np.max(np.abs(voltages - previous)))
-                    if debug:
-                        residuals.append(delta)
-                    if delta < tolerance:
-                        break
-                previous = voltages
-            else:  # pragma: no cover - pathological devices only
-                converged = False
+            voltages, conductances, iterations, converged = self._newton(
+                self._rhs(inputs), tolerance, max_iterations, residuals
+            )
             solve_span.set(iterations=iterations, converged=converged)
             if debug:
                 solve_span.set(residuals=residuals)
         if _obs_trace.enabled():
             _count_solver_event("pointwise_solve")
+            # Newton rounds; the event name predates the Newton solver
+            # and is kept as the runtime's resource key.
             _count_solver_event("fixed_point_iterations", iterations)
-
         return voltages, conductances, iterations, converged
+
+    def _newton(
+        self,
+        rhs: np.ndarray,
+        tolerance: float,
+        max_iterations: int,
+        residuals: Optional[List[float]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, int, bool]:
+        """Chord-Newton node solve; returns (V, G, rounds, converged).
+
+        Round 1 factorizes ``J = A(G_jac)`` at the programmed
+        conductances — the linear solve, and the Jacobian at ``V = 0``.
+        Each later round takes the chord step ``V -= J^-1 F(V)`` on the
+        KCL residual ``F(V) = A(G_sec(V)) V - rhs``, in the equivalent
+        form ``V = J^-1 (rhs + stamp((G_jac - G_sec(V)) v_cell))``: the
+        wire and sense stamps cancel exactly, so shorted lines (``1e6``
+        S segments) add no rounding noise to the step.  When a step
+        contracted by less than :data:`_JACOBIAN_REFRESH_RATIO`, ``J``
+        is refactorized at ``G_jac = G_diff(V)``.  ``G`` is the secant
+        grid at the returned ``V``; each round after the first appends
+        its ``max |step|`` to ``residuals``.
+        """
+        jacobian = self._base_conductances()
+        lu = self._factorize(self._matrix(jacobian))
+        voltages = _finite(lu.solve(rhs))
+        if not self._is_nonlinear():
+            return voltages, jacobian, 1, True
+        previous_step = float(np.max(np.abs(voltages)))
+        rounds, size = 1, np.inf
+        # Read after the loop (returned round count) — a B007 blind spot.
+        for rounds in range(2, max_iterations + 1):  # noqa: B007
+            v_cell = self._cell_voltages(voltages)
+            chord = (jacobian - self._cell_law(v_cell)) * v_cell
+            stepped = _finite(lu.solve(
+                rhs + np.concatenate((chord.ravel(), -chord.ravel()))
+            ))
+            size = float(np.max(np.abs(stepped - voltages)))
+            voltages = stepped
+            if residuals is not None:
+                residuals.append(size)
+            if size < tolerance:
+                break
+            if size > _JACOBIAN_REFRESH_RATIO * previous_step:
+                jacobian = self._cell_law(
+                    self._cell_voltages(voltages), differential=True
+                )
+                lu = self._factorize(self._matrix(jacobian))
+            previous_step = size
+        secant = self._cell_law(self._cell_voltages(voltages))
+        return voltages, secant, rounds, size < tolerance
+
+    def _cell_law(
+        self, v_cell: np.ndarray, differential: bool = False
+    ) -> np.ndarray:
+        """Cell conductances at cell voltages ``v_cell``: secant
+        ``I(V)/V`` (default) or differential ``dI/dV``."""
+        if differential:
+            law = self.device.differential_conductance(
+                self.resistances, v_cell
+            )
+        else:
+            law = 1.0 / self.device.actual_resistance(
+                self.resistances, v_cell
+            )
+        if self._cell_gain is not None:
+            law = law * self._cell_gain
+        return law
 
     def solve_many(
         self,
@@ -713,11 +713,9 @@ class CrossbarNetwork:
         once per vector.
 
         Nonlinear devices shift every cell's operating point with the
-        inputs, so each vector keeps its own (exact) fixed-point
-        iteration; the batch runs through :func:`solve_batch`, which
-        assembles all members' matrices in one sweep per round and
-        vectorizes the device update across the batch axis while
-        keeping each per-vector result bit-identical to :meth:`solve`.
+        inputs, so each vector keeps its own Newton solve; the batch
+        runs through :func:`solve_batch`, bit-identical per vector to
+        :meth:`solve`.
         """
         inputs = np.asarray(inputs, dtype=float)
         if inputs.ndim != 2 or inputs.shape[1] != self.rows:
@@ -729,30 +727,22 @@ class CrossbarNetwork:
         if k == 0:
             raise SolverError("batched solve needs at least one vector")
 
-        if not self._is_nonlinear():
-            with _obs_trace.span(
-                "solver.solve_many", rows=self.rows, cols=self.cols,
-                batch=k,
-            ):
-                conductances = self._base_conductances()
-                matrix = self._matrix(conductances)
-                rhs = self._rhs(inputs)
-                voltages = self._factorize(matrix).solve(rhs)
-                if np.any(~np.isfinite(voltages)):
-                    raise SolverError(
-                        "solver produced non-finite node voltages"
-                    )
-                return self._package_batch(
-                    voltages, conductances, inputs,
-                    np.ones(k, dtype=np.int64), np.ones(k, dtype=bool),
-                )
-
         with _obs_trace.span(
             "solver.solve_many", rows=self.rows, cols=self.cols,
             batch=k,
         ):
-            return solve_batch(
-                [self] * k, inputs, tolerance, max_iterations
+            if self._is_nonlinear():
+                return solve_batch(
+                    [self] * k, inputs, tolerance, max_iterations
+                )
+            conductances = self._base_conductances()
+            matrix = self._matrix(conductances)
+            voltages = _finite(
+                self._factorize(matrix).solve(self._rhs(inputs))
+            )
+            return self._package_batch(
+                voltages, conductances, inputs,
+                np.ones(k, dtype=np.int64), np.ones(k, dtype=bool),
             )
 
     # ------------------------------------------------------------------
@@ -817,8 +807,15 @@ class CrossbarNetwork:
         )
 
 
+def _finite(voltages: np.ndarray) -> np.ndarray:
+    """``voltages`` itself, or :class:`SolverError` if any is non-finite."""
+    if not np.all(np.isfinite(voltages)):
+        raise SolverError("solver produced non-finite node voltages")
+    return voltages
+
+
 # ----------------------------------------------------------------------
-# Matrix-batched solving (DESIGN.md S22)
+# Batched solving (DESIGN.md S22)
 # ----------------------------------------------------------------------
 #: Histogram buckets for ``repro_solver_batch_size`` (members per call).
 _BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
@@ -848,30 +845,25 @@ def solve_batch(
 ) -> CrossbarSolutionBatch:
     """Solve ``B`` same-shape crossbars, one input vector each.
 
-    The whole batch shares one cached :class:`_CrossbarStructure`:
-    every member's stamp values are stacked into one array and all CSC
-    value arrays are rewritten in a single ``np.add.reduceat`` sweep
-    per fixed-point round (:meth:`_CrossbarStructure.matrix_batch`),
-    and the nonlinear device update / damping / convergence bookkeeping
-    run vectorized across the batch axis.  Each member's *numeric*
-    factorization and triangular solves stay per-member — they are what
-    pins every member bit-identical to :meth:`CrossbarNetwork.solve`,
-    which is the contract the Monte-Carlo / DSE / fault layers rely on
-    for schedule-independent reproducibility (and the reason the
-    batched path never changes cache keys).
+    Every member runs the same :meth:`CrossbarNetwork._newton` routine
+    as :meth:`CrossbarNetwork.solve`, so each result is bit-identical
+    to the point-wise solve by construction — the contract the
+    Monte-Carlo / DSE / fault layers rely on for schedule-independent
+    reproducibility (and the reason the batched path never changes
+    cache keys).  The batch shares one cached
+    :class:`_CrossbarStructure` and one ``solver.solve_batch`` span.
 
     Parameters
     ----------
     networks:
         The batch members.  All must share one shape and one device
-        model (mixing linear and nonlinear members would split the
-        fixed-point loop); wire/sense parameters and fault masks may
-        differ freely per member.
+        model; wire/sense parameters and fault masks may differ freely
+        per member.
     inputs:
         Input voltage vectors, shape ``(B, M)`` — row ``b`` drives
         ``networks[b]``.
     tolerance / max_iterations:
-        Fixed-point knobs, as in :meth:`CrossbarNetwork.solve`.
+        Newton knobs, as in :meth:`CrossbarNetwork.solve`.
     on_singular:
         ``"raise"`` (default) surfaces the first singular member as
         :class:`~repro.errors.SolverError`, like the point-wise path.
@@ -904,338 +896,79 @@ def solve_batch(
             f"batched inputs must have shape ({len(networks)}, "
             f"{first.rows}), got {inputs.shape}"
         )
-    nonlinear = first._is_nonlinear()
+    solutions: List[Optional[CrossbarSolution]] = []
     with _obs_trace.span(
         "solver.solve_batch", rows=first.rows, cols=first.cols,
-        batch=len(networks), nonlinear=nonlinear,
+        batch=len(networks), nonlinear=first._is_nonlinear(),
     ):
         _count_batched_solve(len(networks))
-        if nonlinear:
-            group = _nonlinear_group_size(first.structure.num_nodes)
-            if len(networks) <= group:
-                result = _solve_batch_nonlinear(
-                    networks, inputs, tolerance, max_iterations,
-                    on_singular,
-                )
-            else:
-                # Fixed-point rounds interleave every member's LU
-                # factors; past a cache-sized working set that
-                # round-robin evicts them faster than it amortises
-                # assembly (measured: 32 members at 64x64 run ~25%
-                # slower than the point-wise loop, 8 run ~2% faster).
-                # Members are independent, so slicing the batch changes
-                # wall-clock only, never bits.
-                result = _concat_batches([
-                    _solve_batch_nonlinear(
-                        networks[start:start + group],
-                        inputs[start:start + group],
-                        tolerance, max_iterations, on_singular,
-                    )
-                    for start in range(0, len(networks), group)
-                ])
-        else:
-            result = _solve_batch_linear(networks, inputs, on_singular)
-        if _obs_trace.enabled():
-            _count_solver_event(
-                "fixed_point_iterations", int(np.sum(result.iterations))
-            )
-        return result
-
-
-# Cache-friendly working-set budget for the nonlinear round-robin: the
-# sub-group size keeps (members x num_nodes) under this many unknowns,
-# so every member's LU factors stay resident across fixed-point rounds.
-# 64k unknowns -> 128 members at 16x16, 32 at 32x32, 8 at 64x64 — the
-# empirical sweet spots of the group-size sweep (DESIGN.md S22).
-_NONLINEAR_WORKSET_NODES = 65536
-
-
-def _nonlinear_group_size(num_nodes: int) -> int:
-    return max(4, _NONLINEAR_WORKSET_NODES // max(1, num_nodes))
-
-
-def _concat_batches(
-    parts: List[CrossbarSolutionBatch],
-) -> CrossbarSolutionBatch:
-    """Stitch sub-group results back into one batch, in member order."""
-    if len(parts) == 1:
-        return parts[0]
-    failed = None
-    if parts[0].failed is not None:
-        failed = np.concatenate([part.failed for part in parts])
-    return CrossbarSolutionBatch(
-        output_voltages=np.concatenate(
-            [part.output_voltages for part in parts]
-        ),
-        cell_voltages=np.concatenate(
-            [part.cell_voltages for part in parts]
-        ),
-        cell_currents=np.concatenate(
-            [part.cell_currents for part in parts]
-        ),
-        input_currents=np.concatenate(
-            [part.input_currents for part in parts]
-        ),
-        total_power=np.concatenate([part.total_power for part in parts]),
-        iterations=np.concatenate([part.iterations for part in parts]),
-        converged=np.concatenate([part.converged for part in parts]),
-        failed=failed,
-    )
-
-
-def _solve_batch_linear(
-    networks: List[CrossbarNetwork],
-    inputs: np.ndarray,
-    on_singular: str,
-) -> CrossbarSolutionBatch:
-    """One assembly sweep, then a per-member factorize/solve pass."""
-    first = networks[0]
-    structure = first.structure
-    num_nodes = structure.num_nodes
-    batch = len(networks)
-    conductances = np.stack(
-        [net._base_conductances() for net in networks]
-    )
-    tails = np.stack([net._wire_tail() for net in networks])
-    with _obs_trace.span("solver.assemble", batch=batch):
-        data = structure.matrix_batch(conductances, tails)
-    voltages = np.zeros((batch, num_nodes))
-    failed = np.zeros(batch, dtype=bool)
-    for index, net in enumerate(networks):
-        matrix = sp.csc_matrix(
-            (data[index], structure.csc_indices, structure.csc_indptr),
-            shape=(num_nodes, num_nodes),
-        )
-        rhs = net._rhs(inputs[index])
-        try:
-            solved = net._factorize(matrix).solve(rhs)
-            if np.any(~np.isfinite(solved)):
-                raise SolverError(
-                    "solver produced non-finite node voltages"
-                )
-        except SolverError:
-            if on_singular == "raise":
-                raise
-            failed[index] = True
-            continue
-        voltages[index] = solved
-    iterations = np.where(failed, 0, 1).astype(np.int64)
-    return _stack_member_solutions(
-        networks, voltages, conductances, inputs, iterations,
-        converged=~failed, failed=failed,
-        mark=(on_singular == "mark"),
-    )
-
-
-def _solve_batch_nonlinear(
-    networks: List[CrossbarNetwork],
-    inputs: np.ndarray,
-    tolerance: float,
-    max_iterations: int,
-    on_singular: str,
-) -> CrossbarSolutionBatch:
-    """Batched damped fixed point, bit-identical per member.
-
-    Mirrors :meth:`CrossbarNetwork._solve_nodes` exactly: the first
-    round factorizes each member, later rounds refine against the
-    member's frozen LU (refactorizing on stall), the device update and
-    damping are elementwise (so evaluating them on the stacked grids
-    changes nothing), and a member retires the first time its node
-    voltages move less than ``tolerance`` — with its conductances
-    already advanced by that round's update, as in the point-wise loop.
-    """
-    first = networks[0]
-    device = first.device
-    structure = first.structure
-    m, n = first.rows, first.cols
-    num_nodes = structure.num_nodes
-    batch = len(networks)
-
-    conductances = np.stack(
-        [net._base_conductances() for net in networks]
-    )
-    tails = np.stack([net._wire_tail() for net in networks])
-    resistances = np.stack([net.resistances for net in networks])
-    gain_stack = None
-    if any(net._cell_gain is not None for net in networks):
-        # Members without a mask multiply by exactly 1.0 — an IEEE
-        # identity, so their bits still match the point-wise path
-        # (which skips the multiply entirely).
-        gain_stack = np.stack([
-            np.ones((m, n)) if net._cell_gain is None else net._cell_gain
-            for net in networks
-        ])
-    rhs = np.stack(
-        [net._rhs(inputs[index]) for index, net in enumerate(networks)]
-    )
-
-    voltages = np.zeros((batch, num_nodes))
-    previous = np.zeros((batch, num_nodes))
-    has_previous = np.zeros(batch, dtype=bool)
-    lus: List[Optional[spla.SuperLU]] = [None] * batch
-    iterations = np.zeros(batch, dtype=np.int64)
-    converged = np.zeros(batch, dtype=bool)
-    failed = np.zeros(batch, dtype=bool)
-    active = np.ones(batch, dtype=bool)
-
-    for round_index in range(1, max_iterations + 1):
-        members = np.flatnonzero(active)
-        if members.size == 0:
-            break
-        with _obs_trace.span("solver.assemble", batch=members.size):
-            data = structure.matrix_batch(
-                conductances[members], tails[members]
-            )
-        for offset, index in enumerate(members):
-            net = networks[index]
-            iterations[index] = round_index
-            matrix = sp.csc_matrix(
-                (data[offset], structure.csc_indices,
-                 structure.csc_indptr),
-                shape=(num_nodes, num_nodes),
-            )
+        for net, member_inputs in zip(networks, inputs):
             try:
-                if lus[index] is None:
-                    lus[index] = net._factorize(matrix)
-                    solved = lus[index].solve(rhs[index])
-                else:
-                    with _obs_trace.span("solver.refine"):
-                        solved = _refined_solve(
-                            lus[index], matrix, rhs[index],
-                            voltages[index],
-                        )
-                    if solved is None:
-                        _count_solver_event("refactorize_on_stall")
-                        lus[index] = net._factorize(matrix)
-                        solved = lus[index].solve(rhs[index])
-                    else:
-                        _count_solver_event("refine_accept")
-                if np.any(~np.isfinite(solved)):
-                    raise SolverError(
-                        "solver produced non-finite node voltages"
-                    )
+                nodes = net._newton(
+                    net._rhs(member_inputs), tolerance, max_iterations
+                )
             except SolverError:
                 if on_singular == "raise":
                     raise
-                failed[index] = True
-                active[index] = False
+                solutions.append(None)
                 continue
-            voltages[index] = solved
-        members = np.flatnonzero(active)
-        if members.size == 0:
-            break
-        # Device update + damping, vectorized across the batch axis.
-        wl = voltages[members, : m * n].reshape(-1, m, n)
-        bl = voltages[members, m * n:].reshape(-1, m, n)
-        v_cell = wl - bl
-        new_cond = 1.0 / device.actual_resistance(
-            resistances[members], v_cell
-        )
-        if gain_stack is not None:
-            new_cond = new_cond * gain_stack[members]
-        conductances[members] = (
-            _DAMPING * new_cond
-            + (1.0 - _DAMPING) * conductances[members]
-        )
-        # Convergence: per-member max |delta|, exact as the scalar loop.
-        ready = members[has_previous[members]]
-        if ready.size:
-            deltas = np.max(
-                np.abs(voltages[ready] - previous[ready]), axis=1
-            )
-            settled = ready[deltas < tolerance]
-            converged[settled] = True
-            active[settled] = False
-        previous[members] = voltages[members]
-        has_previous[members] = True
-
-    return _stack_member_solutions(
-        networks, voltages, conductances, inputs, iterations,
-        converged=converged, failed=failed,
-        mark=(on_singular == "mark"),
+            voltages, conductances, iterations, converged = nodes
+            solutions.append(net._package(
+                voltages, conductances, member_inputs, iterations,
+                converged,
+            ))
+        if _obs_trace.enabled():
+            _count_solver_event("fixed_point_iterations", sum(
+                s.iterations for s in solutions if s is not None
+            ))
+    return _stack_solutions(
+        solutions, first.rows, first.cols, mark=(on_singular == "mark")
     )
 
 
-def _stack_member_solutions(
-    networks: List[CrossbarNetwork],
-    voltages: np.ndarray,  # (B, 2MN)
-    conductances: np.ndarray,  # (B, M, N)
-    inputs: np.ndarray,  # (B, M)
-    iterations: np.ndarray,
-    converged: np.ndarray,
-    failed: np.ndarray,
+def _stack_solutions(
+    solutions: List[Optional[CrossbarSolution]],
+    rows: int,
+    cols: int,
     mark: bool,
 ) -> CrossbarSolutionBatch:
-    """Package per-member results; failed members become NaN rows.
+    """Stack per-member results; failed (``None``) members become NaN
+    rows with ``iterations=0`` and ``converged=False``.
 
-    ``failed`` drives the NaN fill either way, but only surfaces as
-    the result's ``failed`` field under ``mark`` (``on_singular=
-    "mark"``) — raise-mode results keep the field ``None``, like the
+    The ``failed`` field is only set under ``mark`` (``on_singular=
+    "mark"``) — raise-mode results keep it ``None``, like the
     point-wise path and ``solve_many``.
     """
-    batch = len(networks)
-    m, n = networks[0].rows, networks[0].cols
-    output_voltages = np.full((batch, n), np.nan)
-    cell_voltages = np.full((batch, m, n), np.nan)
-    cell_currents = np.full((batch, m, n), np.nan)
-    input_currents = np.full((batch, m), np.nan)
+    batch = len(solutions)
+    output_voltages = np.full((batch, cols), np.nan)
+    cell_voltages = np.full((batch, rows, cols), np.nan)
+    cell_currents = np.full((batch, rows, cols), np.nan)
+    input_currents = np.full((batch, rows), np.nan)
     total_power = np.full(batch, np.nan)
-    for index, net in enumerate(networks):
-        if failed[index]:
+    iterations = np.zeros(batch, dtype=np.int64)
+    converged = np.zeros(batch, dtype=bool)
+    failed = np.zeros(batch, dtype=bool)
+    for index, solution in enumerate(solutions):
+        if solution is None:
+            failed[index] = True
             continue
-        solution = net._package(
-            voltages[index], conductances[index], inputs[index],
-            int(iterations[index]), bool(converged[index]),
-        )
         output_voltages[index] = solution.output_voltages
         cell_voltages[index] = solution.cell_voltages
         cell_currents[index] = solution.cell_currents
         input_currents[index] = solution.input_currents
         total_power[index] = solution.total_power
+        iterations[index] = solution.iterations
+        converged[index] = solution.converged
     return CrossbarSolutionBatch(
         output_voltages=output_voltages,
         cell_voltages=cell_voltages,
         cell_currents=cell_currents,
         input_currents=input_currents,
         total_power=total_power,
-        iterations=np.asarray(iterations, dtype=np.int64),
-        converged=np.asarray(converged, dtype=bool),
-        failed=np.asarray(failed, dtype=bool) if mark else None,
+        iterations=iterations,
+        converged=converged,
+        failed=failed if mark else None,
     )
-
-
-def _refined_solve(
-    lu: spla.SuperLU,
-    matrix: sp.csc_matrix,
-    rhs: np.ndarray,
-    guess: np.ndarray,
-) -> Optional[np.ndarray]:
-    """Solve ``matrix @ x = rhs`` by iterative refinement against ``lu``.
-
-    ``lu`` is the factorization of a nearby matrix (the previous
-    nonlinear iterate) and ``guess`` the previous solution; each step
-    applies the correction ``lu.solve(rhs - matrix @ x)``.  Accepts at
-    :data:`_REFINE_TOLERANCE` (relative), or — since rounding noise
-    floors the correction near ``eps * cond`` — at stagnation if the
-    correction is already below :data:`_REFINE_ACCEPT`.  Returns
-    ``None`` when neither holds within :data:`_MAX_REFINE_STEPS`; the
-    caller then refactorizes.
-    """
-    x = guess
-    previous_norm = np.inf
-    for _ in range(_MAX_REFINE_STEPS):
-        correction = lu.solve(rhs - matrix @ x)
-        if not np.all(np.isfinite(correction)):
-            return None
-        x = x + correction
-        norm = float(np.max(np.abs(correction)))
-        scale = float(np.max(np.abs(x))) or 1.0
-        if norm <= _REFINE_TOLERANCE * scale:
-            return x
-        if norm >= 0.5 * previous_norm:  # hit the rounding floor
-            return x if norm <= _REFINE_ACCEPT * scale else None
-        previous_norm = norm
-    return None
 
 
 def ideal_output_voltages(

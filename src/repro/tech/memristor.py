@@ -205,6 +205,22 @@ class MemristorModel:
         out = np.asarray(r_state, dtype=float) * self._sinh_shrink(v_cell)
         return out if out.ndim else float(out)
 
+    def differential_conductance(self, r_state, v_cell):
+        """``dI/dV = cosh(V / V0) / R``: the small-signal conductance at
+        ``v_cell``, ``1 / r_state`` at zero bias or for an ideal device.
+
+        The Jacobian stamp of the circuit solver's Newton rounds.
+        Scalar in, ``float`` out; arrays broadcast elementwise.
+        """
+        v = np.asarray(v_cell, dtype=float)
+        if math.isinf(self.nonlinearity_v0):
+            out = np.ones_like(v) / np.asarray(r_state, dtype=float)
+        else:
+            out = np.cosh(v / self.nonlinearity_v0) / np.asarray(
+                r_state, dtype=float
+            )
+        return out if out.ndim else float(out)
+
     def nonlinearity_factor(self, v_cell):
         """Fractional resistance drop ``(R_idl - R_act) / R_idl`` at
         ``v_cell``; 0 for an ideal device.  Array-capable."""

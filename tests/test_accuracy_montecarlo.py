@@ -9,7 +9,10 @@ from repro.accuracy.montecarlo import (
     bound_check,
     run_monte_carlo,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SolverError
+from repro.runtime.cache import ResultCache
+from repro.runtime.pool import RunPolicy
+from repro.spice.solver import CrossbarNetwork
 from repro.tech import get_memristor_model
 
 SEG_45NM = 0.25
@@ -203,3 +206,43 @@ class TestBatchedParity:
             policy=RunPolicy(batch_within_chunk=False),
         )
         assert np.array_equal(batched.samples, pointwise.samples)
+
+
+def _stall_solver(monkeypatch):
+    """Every circuit solve reports ``converged=False`` (same voltages)."""
+    newton = CrossbarNetwork._newton
+
+    def stalled(self, *args, **kwargs):
+        voltages, conductances, rounds, _ = newton(self, *args, **kwargs)
+        return voltages, conductances, rounds, False
+
+    monkeypatch.setattr(CrossbarNetwork, "_newton", stalled)
+
+
+class TestNonConvergedSolves:
+    """A non-converged solve never becomes an error sample or a cache
+    entry: the trial raises SolverError on every execution path."""
+
+    @pytest.mark.parametrize("batched", (True, False))
+    def test_seeded_trials_raise_and_cache_nothing(self, device, tmp_path,
+                                                   monkeypatch, batched):
+        _stall_solver(monkeypatch)
+        with ResultCache(tmp_path) as cache:
+            with pytest.raises(SolverError, match="did not converge"):
+                run_monte_carlo(
+                    device, 8, SEG_45NM, seed=3, trials=4, cache=cache,
+                    policy=RunPolicy(batch_within_chunk=batched),
+                )
+            assert cache.stats().entries == 0
+
+    def test_multi_input_trials_raise(self, device, monkeypatch):
+        _stall_solver(monkeypatch)
+        with pytest.raises(SolverError, match="did not converge"):
+            run_monte_carlo(device, 8, SEG_45NM, seed=3, trials=2,
+                            inputs_per_trial=3)
+
+    def test_legacy_rng_protocol_raises(self, device, monkeypatch):
+        _stall_solver(monkeypatch)
+        with pytest.raises(SolverError, match="did not converge"):
+            run_monte_carlo(device, 8, SEG_45NM,
+                            rng=np.random.default_rng(1), trials=2)

@@ -528,6 +528,27 @@ class TestLintCli:
                         "R7", "R8", "R9"):
             assert rule_id in result.stdout
 
+    def test_help_names_the_registered_rule_range(self, tmp_path):
+        from repro.analysis.core import all_rules
+
+        ids = sorted((rule.rule_id for rule in all_rules()),
+                     key=lambda i: (len(i), i))
+        result = self._run("--help", cwd=tmp_path)
+        assert result.returncode == 0
+        text = " ".join(result.stdout.split())
+        assert f"({ids[0]}-{ids[-1]})" in text
+
+    def test_parser_build_does_not_import_the_rule_set(self, tmp_path):
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from repro.cli import build_parser; "
+             "build_parser(); "
+             "print('repro.analysis.rules' in sys.modules)"],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert probe.stdout.strip() == "False", probe.stderr
+
     def test_graph_flag_controls_project_pass(self, tmp_path):
         bad = tmp_path / "src" / "repro" / "service" / "store.py"
         bad.parent.mkdir(parents=True)

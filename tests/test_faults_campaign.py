@@ -14,6 +14,8 @@ from repro.faults.campaign import (
 )
 from repro.runtime.cache import ResultCache
 from repro.runtime.metrics import RunMetrics
+from repro.runtime.pool import RunPolicy
+from repro.spice.solver import CrossbarNetwork
 
 
 def _tiny_spec(**overrides):
@@ -216,3 +218,38 @@ class TestBatchedParity:
         assert batched.to_json() == pointwise.to_json()
         point = batched.points[0]
         assert point.failures > 0  # the scenario actually bites
+
+
+class TestNonConvergedSolves:
+    """A non-converged solve counts as a failed trial, exactly like a
+    singular mask: its voltages never become an error number, in the
+    result or in a cache row."""
+
+    @pytest.mark.parametrize("batched", (True, False))
+    def test_counted_as_failed_trials(self, tmp_path, monkeypatch,
+                                      batched):
+        newton = CrossbarNetwork._newton
+
+        def stalled(self, *args, **kwargs):
+            voltages, conductances, rounds, _ = newton(
+                self, *args, **kwargs
+            )
+            return voltages, conductances, rounds, False
+
+        monkeypatch.setattr(CrossbarNetwork, "_newton", stalled)
+        with ResultCache(tmp_path) as cache:
+            result = run_campaign(
+                _tiny_spec(fault_rates=(0.1,)), cache=cache,
+                policy=RunPolicy(batch_within_chunk=batched),
+            )
+            rows = cache._conn.execute(
+                "SELECT value FROM results WHERE kind = 'faults-trial'"
+            ).fetchall()
+        (point,) = result.points
+        assert point.failures == point.trials == 3
+        assert point.mean_error is None
+        assert len(rows) == 3
+        for (value,) in rows:
+            trial = json.loads(value)
+            assert trial["failed"] is True
+            assert trial["error"] is None

@@ -15,6 +15,8 @@ from repro.accuracy.quantization import (
     max_error_rate,
 )
 from repro.config import SimConfig
+from repro.errors import SolverError
+from repro.faults.models import FAULT_MODES, sample_fault_mask
 from repro.dse.tradeoff import inflection_point, pareto_frontier
 from repro.nn.quantize import bit_slice, dequantize, quantize, split_polarity
 from repro.report import Performance
@@ -238,6 +240,75 @@ def test_solver_charge_conservation(rows, cols):
     into_ground = solution.output_voltages.sum() / r_sense
     assert math.isclose(
         solution.input_currents.sum(), into_ground, rel_tol=1e-6
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("RRAM", "PCM")),
+    st.integers(min_value=2, max_value=24),
+    st.sampled_from(("r_min", "random", "r_max")),
+    st.sampled_from((None,) + FAULT_MODES),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_nonlinear_solve_satisfies_kcl_at_every_node(
+    device_name, size, distribution, fault_mode, seed
+):
+    """Kirchhoff's current law holds at every node under the sinh law.
+
+    The imbalance is computed from the wire/sense stamps plus the
+    device current ``I = (V0/R) sinh(V/V0)`` evaluated directly — not
+    from the solver's secant conductances.  At every node it must stay
+    below 1e-8 of the current the sources deliver, plus the rounding
+    floor of evaluating the node's sum: 64 ulp of its summed
+    branch-current magnitudes (which dominates only on shorted lines,
+    whose 1e6 S segments carry amperes of cancelling terms).
+    """
+    device = get_memristor_model(device_name)
+    rng = np.random.default_rng(seed)
+    if distribution == "random":
+        levels = rng.integers(0, device.levels, size=(size, size))
+        resistances = device.resistance_of_level(levels)
+    else:
+        resistances = np.full((size, size), getattr(device, distribution))
+    mask = None
+    if fault_mode is not None:
+        mask = sample_fault_mask(size, size, 0.1, rng, mode=fault_mode)
+    inputs = rng.uniform(0.0, device.read_voltage, size=size)
+    network = CrossbarNetwork(resistances, 0.5, 1e3, device=device,
+                              fault_mask=mask)
+    try:
+        voltages, conductances, _, converged = network._solve_nodes(
+            inputs, 1e-10, 60
+        )
+    except SolverError:
+        assume(False)  # floating nodes: a singular mask has no solution
+    assert converged
+    structure = network.structure
+    tail = network._wire_tail()
+    wires = structure.matrix(np.zeros((size, size)), tail)
+    cell = device.current(network.resistances,
+                          network._cell_voltages(voltages))
+    if network._cell_gain is not None:  # open cells carry no current
+        cell = cell * network._cell_gain
+    rhs = network._rhs(inputs)
+    imbalance = (
+        wires @ voltages
+        + np.concatenate((cell.ravel(), -cell.ravel()))
+        - rhs
+    )
+    delivered = np.sum(np.abs(
+        (inputs - voltages[structure.input_nodes])
+        * network._input_conductances()
+    ))
+    # Each branch current g (V_a - V_b) contributes g |V_a| + g |V_b|.
+    magnitude = (
+        abs(structure.matrix(conductances, tail)) @ np.abs(voltages)
+        + np.abs(rhs)
+    )
+    assert np.all(
+        np.abs(imbalance)
+        <= 1e-8 * delivered + 64 * np.finfo(float).eps * magnitude
     )
 
 

@@ -16,10 +16,10 @@ from repro.runtime.jobs import (
 # Regression pin: the cache key of the default configuration.  If this
 # changes, every persisted cache entry silently invalidates — that must
 # be a deliberate decision (bump SCHEMA_VERSION), never an accident.
-# Last deliberate change: runtime-v2 (canonical() float / dict-key
-# stability fixes).
+# Last deliberate change: runtime-v3 (the circuit solver's results
+# changed in their last bits with the move to chord-Newton).
 DEFAULT_CONFIG_KEY = (
-    "7397fc8967e3758b93a67625a9615c71cbe332148320b13a8dd70c3eb48bd628"
+    "9f14947872ec4670a0716c1d1deedbf5c8f9f73822e30cf2184a261def023efd"
 )
 
 

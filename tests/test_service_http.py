@@ -312,3 +312,36 @@ def test_duplicate_json_keys_rejected_with_path(service):
     assert error["path"] == "montecarlo"
     assert "duplicate" in error["message"]
     assert manager.snapshot() == [], "rejected payloads must not enqueue"
+
+
+def test_each_response_is_one_socket_write(service, monkeypatch):
+    """Headers and body leave in a single send on a kept-alive
+    connection, so Nagle's algorithm has nothing to hold back."""
+    import http.client
+    import socket
+
+    client, _ = service
+    port = int(client.base_url.rsplit(":", 1)[1])
+    main_thread = threading.current_thread()
+    sends = []
+    for name in ("send", "sendall"):
+        original = getattr(socket.socket, name)
+
+        def counted(self, data, *args, _original=original, **kwargs):
+            if threading.current_thread() is not main_thread:
+                sends.append(len(data))
+            return _original(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(socket.socket, name, counted)
+
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        for path in ("/healthz", "/jobs/no-such-job", "/healthz"):
+            before = len(sends)
+            connection.request("GET", path)
+            response = connection.getresponse()
+            body = response.read()
+            assert body
+            assert len(sends) - before == 1, (path, sends[before:])
+    finally:
+        connection.close()

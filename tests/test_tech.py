@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import TechnologyError
@@ -165,6 +166,21 @@ class TestMemristor:
         r = 1e6
         v = 1e-4
         assert device.current(r, v) == pytest.approx(v / r, rel=1e-6)
+
+    def test_differential_conductance_is_the_current_slope(self):
+        device = get_memristor_model("RRAM")
+        r, v, h = 2e5, 0.7, 1e-6
+        slope = (device.current(r, v + h) - device.current(r, v - h)) / (2 * h)
+        assert device.differential_conductance(r, v) == pytest.approx(
+            slope, rel=1e-8
+        )
+        assert device.differential_conductance(r, 0.0) == 1.0 / r
+        grid = device.differential_conductance(
+            np.full((2, 3), r), np.zeros((2, 3))
+        )
+        assert grid.shape == (2, 3) and np.all(grid == 1.0 / r)
+        ideal = get_memristor_model("IDEAL")
+        assert ideal.differential_conductance(r, 1.0) == 1.0 / r
 
     def test_with_sigma_and_overrides(self):
         device = get_memristor_model("RRAM")
