@@ -16,8 +16,9 @@ Accuracy is evaluated with the per-layer effective crossbar fill via
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+import functools
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
 from repro.accuracy.model import AccuracyModel, LayerAccuracy
 from repro.arch.bank import ComputationBank
@@ -71,6 +72,23 @@ class AcceleratorSummary:
         if self.energy_per_sample == 0:
             return float("inf")
         return 1.0 / self.energy_per_sample
+
+
+@functools.lru_cache(maxsize=1024)
+def _network_accuracy(
+    config: SimConfig, layer_sizes: Tuple[Tuple[int, int], ...]
+) -> LayerAccuracy:
+    """Memo of :meth:`AccuracyModel.network_accuracy` per design.
+
+    Parallelism degree changes only digital replication, never the
+    crossbar computing accuracy (the paper's Sec. VII.C.1 observation),
+    so callers pass ``config`` with ``parallelism_degree`` normalised
+    and a design-space sweep evaluates the model once per
+    parallelism-free design.
+    """
+    return AccuracyModel(config).network_accuracy(
+        layer_sizes=list(layer_sizes)
+    )
 
 
 class Accelerator:
@@ -170,35 +188,31 @@ class Accelerator:
 
         Each layer's crossbars are modelled at their effective
         (possibly rectangular) fill: a layer narrower than the crossbar
-        stresses fewer rows/columns.
+        stresses fewer rows/columns.  Designs that differ only in
+        parallelism degree share one memoised evaluation; each call
+        gets its own copy of the per-layer lists.
         """
-        model = AccuracyModel(self.config)
-        layer_sizes = [
-            (
-                bank.mapping.typical_active_rows,
-                bank.mapping.typical_active_cols,
-            )
-            for bank in self.banks
-        ]
-        return model.network_accuracy(layer_sizes=layer_sizes)
+        accuracy = _network_accuracy(
+            self.config.replace(parallelism_degree=0),
+            tuple(
+                (
+                    bank.mapping.typical_active_rows,
+                    bank.mapping.typical_active_cols,
+                )
+                for bank in self.banks
+            ),
+        )
+        return replace(
+            accuracy,
+            worst_by_layer=list(accuracy.worst_by_layer),
+            average_by_layer=list(accuracy.average_by_layer),
+        )
 
     # ------------------------------------------------------------------
-    def summary(
-        self, accuracy: Optional[LayerAccuracy] = None
-    ) -> AcceleratorSummary:
-        """The table-row view of this design point.
-
-        ``accuracy`` lets callers share one computed
-        :class:`~repro.accuracy.model.LayerAccuracy` across design
-        points that are accuracy-equivalent — the paper's Sec. VII.C.1
-        observation that digital parallelism does not affect crossbar
-        computing accuracy, which the DSE explorer exploits to evaluate
-        each shape-group's accuracy once.  Omitted, it is computed here
-        (the historical behaviour).
-        """
+    def summary(self) -> AcceleratorSummary:
+        """The table-row view of this design point."""
         sample = self.sample_performance()
-        if accuracy is None:
-            accuracy = self.accuracy()
+        accuracy = self.accuracy()
         return AcceleratorSummary(
             area=sample.area,
             energy_per_sample=sample.dynamic_energy,

@@ -27,9 +27,9 @@ The subcommands cover the software flow of the paper's Fig. 3:
   of the configured size (the hand-off path to external simulators);
 * ``runtime-stats`` — the job engine's last-run metrics and cache
   effectiveness (see :mod:`repro.runtime`);
-* ``obs-report`` — render a saved trace as a wall-time tree + top-k
-  table (see :mod:`repro.obs`); ``--job ID`` fetches a running
-  service's per-job trace instead of reading a file;
+* ``obs-report`` — render a saved trace as a wall-time tree + a top-k
+  table ranked by self time (see :mod:`repro.obs`); ``--job ID``
+  fetches a running service's per-job trace instead of reading a file;
 * ``jobs`` — ``list`` and ``watch`` jobs on a running service;
   ``watch`` streams progress events with live ETA, throughput and
   resource usage;
@@ -953,7 +953,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="service base URL for --job (default %(default)s)",
     )
     obs_report.add_argument(
-        "--top", type=int, default=10, help="rows in the by-name table"
+        "--top", type=int, default=10,
+        help="rows in the by-name table (ranked by self time)"
     )
     obs_report.add_argument(
         "--depth", type=int, default=None, help="max tree depth"

@@ -10,7 +10,6 @@ efficiency, reciprocal power, speed, accuracy).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -103,48 +102,6 @@ def _evaluate_point(task: Tuple[SimConfig, Network]) -> AcceleratorSummary:
         wire=config.interconnect_tech,
     ):
         return Accelerator(config, network).summary()
-
-
-def _shape_group_key(config: SimConfig) -> str:
-    """Canonical key of the accuracy-equivalent group a config is in.
-
-    Parallelism degree changes only digital replication, never the
-    crossbar computing accuracy (the paper's Sec. VII.C.1 observation),
-    so configs differing only in ``parallelism_degree`` share one
-    :meth:`~repro.arch.accelerator.Accelerator.accuracy` result.
-    """
-    entries = dict(config.to_dict())
-    entries.pop("parallelism_degree", None)
-    return json.dumps(entries, sort_keys=True, default=str)
-
-
-def _evaluate_points_batch(
-    tasks: List[Tuple[SimConfig, Network]],
-) -> List[AcceleratorSummary]:
-    """Batched worker: one group of design points, accuracy shared.
-
-    Groups the points by crossbar shape (config minus parallelism
-    degree) and evaluates each group's accuracy model once, reusing it
-    for every member via ``summary(accuracy=...)``.  The shared value
-    is the member's own computation verbatim, so results are
-    byte-identical to :func:`_evaluate_point` on each task.
-    """
-    shared: Dict[str, Any] = {}
-    summaries: List[AcceleratorSummary] = []
-    for config, network in tasks:
-        with obs_trace.span(
-            "dse.point",
-            xbar=config.crossbar_size,
-            p=config.parallelism_degree,
-            wire=config.interconnect_tech,
-        ):
-            accelerator = Accelerator(config, network)
-            key = _shape_group_key(config)
-            accuracy = shared.get(key)
-            if accuracy is None:
-                accuracy = shared[key] = accelerator.accuracy()
-            summaries.append(accelerator.summary(accuracy=accuracy))
-    return summaries
 
 
 def _encode_summary(summary: AcceleratorSummary) -> dict:
@@ -305,7 +262,6 @@ def _stage_solve(
         metrics=context.metrics,
         progress=context.progress,
         should_cancel=context.should_cancel,
-        batch_worker=_evaluate_points_batch,
     )
 
 

@@ -50,11 +50,7 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import JobSpec, content_key
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.pool import RunPolicy, run_jobs
-from repro.spice.solver import (
-    CrossbarNetwork,
-    ideal_output_voltages,
-    solve_batch,
-)
+from repro.spice.solver import CrossbarNetwork, ideal_output_voltages
 from repro.tech.memristor import MemristorModel, get_memristor_model
 
 #: Fault modes that only make sense at the circuit level: a line open /
@@ -243,53 +239,6 @@ class CampaignResult:
 # ----------------------------------------------------------------------
 # Trial workers (top-level: must be picklable for the process pool).
 
-def _draw_crossbar_trial(
-    mode: str,
-    fault_rate: float,
-    device: MemristorModel,
-    size: int,
-    rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray, Any]:
-    """One circuit trial's draws, in the fixed (contractual) order.
-
-    Levels, inputs, mask — shared verbatim by the point-wise and
-    batched workers, so each trial stays a pure function of its
-    spawn-keyed stream no matter how trials are grouped.
-    """
-    levels = rng.integers(0, device.levels, size=(size, size))
-    programmed = device.resistance_of_level(levels)
-    inputs = rng.uniform(0, device.read_voltage, size=size)
-    mask = sample_fault_mask(size, size, fault_rate, rng, mode=mode)
-    return programmed, inputs, mask
-
-
-def _crossbar_error(
-    programmed: np.ndarray,
-    inputs: np.ndarray,
-    sense_resistance: float,
-    output_voltages: np.ndarray,
-    fault_count: int,
-) -> Dict[str, Any]:
-    """The trial dict of a solved (non-singular) circuit trial."""
-    ideal = ideal_output_voltages(programmed, inputs, sense_resistance)
-    scale = float(np.max(np.abs(ideal)))
-    error = (
-        float(np.mean(np.abs(ideal - output_voltages)) / scale)
-        if scale > 0 else 0.0
-    )
-    return {
-        "failed": False, "error": error, "fault_count": fault_count,
-    }
-
-
-def _failed_trial(fault_count: int) -> Dict[str, Any]:
-    """The trial dict of a faulted system with no answer: singular, or
-    its nonlinear solve did not converge."""
-    return {
-        "failed": True, "error": None, "fault_count": fault_count,
-    }
-
-
 def _crossbar_trial(
     mode: str,
     fault_rate: float,
@@ -299,10 +248,17 @@ def _crossbar_trial(
     sense_resistance: float,
     rng: np.random.Generator,
 ) -> Dict[str, Any]:
-    """Solve one programmed crossbar with and without a sampled mask."""
-    programmed, inputs, mask = _draw_crossbar_trial(
-        mode, fault_rate, device, size, rng
-    )
+    """Solve one programmed crossbar with and without a sampled mask.
+
+    The draw order — levels, inputs, mask — keeps the trial a pure
+    function of its spawn-keyed stream.  A faulted system with no
+    answer (singular, or a nonlinear solve that did not converge) is a
+    *failed* trial with no error number.
+    """
+    levels = rng.integers(0, device.levels, size=(size, size))
+    programmed = device.resistance_of_level(levels)
+    inputs = rng.uniform(0, device.read_voltage, size=size)
+    mask = sample_fault_mask(size, size, fault_rate, rng, mode=mode)
     try:
         network = CrossbarNetwork(
             programmed, segment_resistance, sense_resistance,
@@ -310,14 +266,21 @@ def _crossbar_trial(
         )
         solution = network.solve(inputs)
     except SolverError:
-        # Singular faulted system (floating nodes): a *failed* trial.
-        return _failed_trial(mask.fault_count)
-    if not solution.converged:
-        return _failed_trial(mask.fault_count)
-    return _crossbar_error(
-        programmed, inputs, sense_resistance,
-        solution.output_voltages, mask.fault_count,
+        # Singular faulted system (floating nodes).
+        solution = None
+    if solution is None or not solution.converged:
+        return {
+            "failed": True, "error": None, "fault_count": mask.fault_count,
+        }
+    ideal = ideal_output_voltages(programmed, inputs, sense_resistance)
+    scale = float(np.max(np.abs(ideal)))
+    error = (
+        float(np.mean(np.abs(ideal - solution.output_voltages)) / scale)
+        if scale > 0 else 0.0
     )
+    return {
+        "failed": False, "error": error, "fault_count": mask.fault_count,
+    }
 
 
 def _mlp_trial(
@@ -384,84 +347,6 @@ def _run_trial(task: Tuple) -> Dict[str, Any]:
             "Fault-injection trials by outcome",
         ).inc(outcome="failed" if result["failed"] else "solved")
     return result
-
-
-def _run_trial_batch(tasks: List[Tuple]) -> List[Dict[str, Any]]:
-    """Batched worker: one group of seeded trials, one stacked solve.
-
-    Every crossbar trial in the group shares the campaign's shape, so
-    their structural assembly happens in one
-    :meth:`~repro.spice.solver._CrossbarStructure.matrix_batch` sweep
-    inside :func:`~repro.spice.solver.solve_batch`.  Masks that make
-    the MNA system singular are *marked* (``on_singular="mark"``)
-    instead of raising, which reproduces the point-wise worker's
-    failed-trial dicts exactly; solvable members are bit-identical to
-    :meth:`~repro.spice.solver.CrossbarNetwork.solve`, so campaign
-    JSON is byte-identical to the point-wise path for any grouping.
-    MLP trials (no shared matrix structure) run point-wise in place.
-    """
-    results: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
-    member_slots: List[int] = []
-    networks: List[CrossbarNetwork] = []
-    input_vectors: List[np.ndarray] = []
-    contexts: List[Tuple[np.ndarray, np.ndarray, float, int]] = []
-    for slot, task in enumerate(tasks):
-        (network_spec, mode, fault_rate, seed, spawn_key, device, size,
-         segment_resistance, sense_resistance) = task
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=tuple(spawn_key))
-        )
-        sizes = _parse_network_spec(network_spec)
-        if sizes is not None:
-            with obs_trace.span(
-                "faults.trial", network=network_spec, mode=mode,
-                rate=fault_rate,
-            ):
-                results[slot] = _mlp_trial(sizes, mode, fault_rate, rng)
-            continue
-        programmed, inputs, mask = _draw_crossbar_trial(
-            mode, fault_rate, device, size, rng
-        )
-        try:
-            network = CrossbarNetwork(
-                programmed, segment_resistance, sense_resistance,
-                device=device, fault_mask=mask,
-            )
-        except SolverError:
-            results[slot] = _failed_trial(mask.fault_count)
-            continue
-        member_slots.append(slot)
-        networks.append(network)
-        input_vectors.append(inputs)
-        contexts.append(
-            (programmed, inputs, sense_resistance, mask.fault_count)
-        )
-    if networks:
-        with obs_trace.span("faults.batch", trials=len(networks)):
-            batch = solve_batch(
-                networks, np.stack(input_vectors), on_singular="mark"
-            )
-        for member, slot in enumerate(member_slots):
-            programmed, inputs, sense_resistance, fault_count = (
-                contexts[member]
-            )
-            if not batch.converged[member]:  # singular or non-converged
-                results[slot] = _failed_trial(fault_count)
-            else:
-                results[slot] = _crossbar_error(
-                    programmed, inputs, sense_resistance,
-                    batch.output_voltages[member], fault_count,
-                )
-    if obs_trace.enabled():
-        counter = obs_metrics.counter(
-            "repro_fault_trials_total",
-            "Fault-injection trials by outcome",
-        )
-        for result in results:
-            counter.inc(
-                outcome="failed" if result["failed"] else "solved"
-            )
-    return results
 
 
 # ----------------------------------------------------------------------
@@ -602,7 +487,6 @@ def _stage_solve(stage: Stage, context: StageContext) -> List[Any]:
         metrics=context.metrics,
         progress=context.progress,
         should_cancel=context.should_cancel,
-        batch_worker=_run_trial_batch,
     )
 
 

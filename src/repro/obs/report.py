@@ -17,9 +17,12 @@ parallel sweep reads as::
           [pid 4242] runtime.job                        98.0 ms
             [pid 4242] dse.point                        97.6 ms
 
-The top-k table aggregates by span name (count, total, mean, max) and
-sorts by total wall time — the "where does the sweep spend its time"
-question in one look.
+The top-k table aggregates by span name (count, self, total, mean, max)
+and sorts by **self time** — a span's duration minus the part of it its
+children cover.  Ranking by total time would put every enclosing span
+(``runtime.run_jobs``, ``runtime.execute``, one ``runtime.job`` per
+trial) above the leaf that actually spends the time; self time answers
+"where does the sweep spend its time" in one look.
 """
 
 from __future__ import annotations
@@ -169,28 +172,63 @@ def render_tree(
 # ----------------------------------------------------------------------
 # Top-k aggregation
 # ----------------------------------------------------------------------
+def _self_times(spans: Sequence[Dict[str, Any]]) -> Dict[Any, float]:
+    """Span id -> self time: its duration minus the union of its
+    children's intervals, clipped to its own (overlapping children,
+    e.g. parallel chunks, count once)."""
+    children: Dict[Any, List[Dict[str, Any]]] = {}
+    for record in spans:
+        if record.get("parent_id") != record["span_id"]:
+            children.setdefault(record.get("parent_id"), []).append(record)
+    self_times: Dict[Any, float] = {}
+    for record in spans:
+        start = record["start"]
+        end = start + record["duration"]
+        covered, reach = 0.0, start
+        for lo, hi in sorted(
+            (max(child["start"], start),
+             min(child["start"] + child["duration"], end))
+            for child in children.get(record["span_id"], ())
+        ):
+            lo = max(lo, reach)
+            if hi > lo:
+                covered += hi - lo
+                reach = hi
+        self_times[record["span_id"]] = max(
+            record["duration"] - covered, 0.0
+        )
+    return self_times
+
+
 def top_spans(
     spans: Sequence[Dict[str, Any]], k: int = 10
 ) -> List[Dict[str, Any]]:
-    """Per-name aggregates sorted by total wall time, largest first."""
+    """Per-name aggregates sorted by self time, largest first.
+
+    Each row carries ``self`` (summed self time, the ranking key) and
+    ``total`` (summed wall time, children included).
+    """
+    self_times = _self_times(spans)
     groups: Dict[str, Dict[str, Any]] = {}
     for record in spans:
         group = groups.setdefault(
             record["name"],
-            {"name": record["name"], "count": 0, "total": 0.0, "max": 0.0,
-             "pids": set()},
+            {"name": record["name"], "count": 0, "self": 0.0,
+             "total": 0.0, "max": 0.0, "pids": set()},
         )
         group["count"] += 1
+        group["self"] += self_times[record["span_id"]]
         group["total"] += record["duration"]
         group["max"] = max(group["max"], record["duration"])
         group["pids"].add(record["pid"])
     ranked = sorted(
-        groups.values(), key=lambda g: g["total"], reverse=True
+        groups.values(), key=lambda g: g["self"], reverse=True
     )[:k]
     return [
         {
             "name": g["name"],
             "count": g["count"],
+            "self": g["self"],
             "total": g["total"],
             "mean": g["total"] / g["count"],
             "max": g["max"],
@@ -207,11 +245,12 @@ def render_top_spans(
     rows = top_spans(spans, k)
     if not rows:
         return "(no spans recorded)"
-    headers = ["span", "count", "total", "mean", "max", "pids"]
+    headers = ["span", "count", "self", "total", "mean", "max", "pids"]
     table = [
         [
             row["name"],
             str(row["count"]),
+            _format_duration(row["self"]),
             _format_duration(row["total"]),
             _format_duration(row["mean"]),
             _format_duration(row["max"]),
@@ -289,6 +328,6 @@ def render_report(
         "",
         render_tree(spans, max_depth=max_depth),
         "",
-        f"top {k} span families by total wall time:",
+        f"top {k} span families by self time:",
         render_top_spans(spans, k),
     ])

@@ -56,8 +56,9 @@ class RunMetrics:
         ``wall_seconds``, ``cpu_seconds`` (user+system, summed across
         workers), ``peak_rss_bytes`` (max over processes),
         ``fixed_point_iterations`` (solver Newton rounds; the key
-        predates the Newton solver), ``batched_solves`` /
-        ``pointwise_solves`` (see :func:`repro.runtime.pool.run_jobs`).
+        predates the Newton solver) and ``pointwise_solves`` (crossbar
+        solves), both counted only while tracing is on (see
+        :func:`repro.runtime.pool.run_jobs`).
     """
 
     stages: Dict[str, float] = field(default_factory=dict)

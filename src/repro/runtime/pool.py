@@ -72,13 +72,6 @@ _WAIT_SLICE = 0.05
 #: overhead dominates over imbalance).
 _SMALL_SWEEP_PER_WORKER = 64
 
-#: Jobs per batch-worker group on the serial path (when the policy's
-#: ``chunk_size`` doesn't pin one).  Large enough to amortise batched
-#: assembly, small enough to keep progress/cancellation responsive and
-#: the stacked value arrays modest.
-_SERIAL_BATCH_SIZE = 64
-
-
 @dataclass(frozen=True)
 class RunPolicy:
     """How a job list is executed.
@@ -107,15 +100,6 @@ class RunPolicy:
         default of 2 preserves the historical behaviour (any sweep of
         at least two jobs may fan out); latency-sensitive callers such
         as :mod:`repro.service` raise it.
-    batch_within_chunk:
-        When the caller supplies a ``batch_worker`` to
-        :func:`run_jobs`, execute each chunk (or serial group) through
-        it as *one* vectorized call instead of looping the per-job
-        worker — hot sweeps are vectorized first and forked second.
-        Batch workers are required to return results bit-identical to
-        the per-job worker (the solver's batched path guarantees this),
-        so flipping this knob never changes results or cache keys, only
-        wall-clock.  ``False`` forces the historical per-job loop.
     """
 
     jobs: int = 1
@@ -123,7 +107,6 @@ class RunPolicy:
     timeout: Optional[float] = None
     retries: int = 1
     min_sweep_for_parallel: int = 2
-    batch_within_chunk: bool = True
 
     def __post_init__(self) -> None:
         if self.jobs < 0:
@@ -156,7 +139,6 @@ def run_jobs(
     metrics: Optional[RunMetrics] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     should_cancel: Optional[Callable[[], bool]] = None,
-    batch_worker: Optional[Callable[[List[Any]], List[Any]]] = None,
 ) -> List[Any]:
     """Execute ``worker(spec.payload)`` for every spec, in input order.
 
@@ -187,16 +169,6 @@ def run_jobs(
         completions (parallel).  When it turns true the run raises
         :class:`~repro.errors.JobCancelled`; in-flight chunk results
         are discarded and pending jobs never execute.
-    batch_worker:
-        Optional vectorized sibling of ``worker``: a top-level
-        picklable function mapping a *list* of payloads to the list of
-        their results, in order, **bit-identical** to calling
-        ``worker`` on each.  When given (and
-        ``policy.batch_within_chunk`` is on) each chunk / serial group
-        executes as one ``batch_worker`` call, so same-shape jobs can
-        share assembly and amortise per-call overhead.  Caching,
-        retries and cancellation semantics are unchanged — a cache hit
-        still skips the job, and results are cached per spec key.
     """
     policy = policy or RunPolicy()
     metrics = metrics if metrics is not None else RunMetrics()
@@ -207,7 +179,7 @@ def run_jobs(
     ):
         return _run_jobs_traced(
             worker, specs, policy, cache, encode, decode, metrics,
-            progress, should_cancel, batch_worker,
+            progress, should_cancel,
         )
 
 
@@ -226,7 +198,6 @@ def _run_jobs_traced(
     metrics: RunMetrics,
     progress: Optional[Callable[[int, int], None]],
     should_cancel: Optional[Callable[[], bool]],
-    batch_worker: Optional[Callable[[List[Any]], List[Any]]] = None,
 ) -> List[Any]:
     metrics.workers = policy.worker_count
     metrics.count("jobs_total", len(specs))
@@ -263,12 +234,6 @@ def _run_jobs_traced(
                 progress(completed, len(specs))
 
         with metrics.stage("execute"):
-            # Vectorize first, fork second: a batch worker (when the
-            # policy allows it) turns each chunk / serial group into
-            # one call that shares assembly across its jobs.
-            batcher = (
-                batch_worker if policy.batch_within_chunk else None
-            )
             # Processes are used whenever more than one worker is
             # requested — even on a single core they buy crash/timeout
             # isolation; genuine pool failures fall back below.  An
@@ -282,23 +247,22 @@ def _run_jobs_traced(
                 and len(pending) > 1
                 and len(pending) >= policy.min_sweep_for_parallel
                 and _picklable(worker)
-                and (batcher is None or _picklable(batcher))
             )
             if use_processes:
                 try:
                     _run_parallel(worker, pending, policy, metrics, results,
-                                  done, advance, should_cancel, batcher)
+                                  done, advance, should_cancel)
                     metrics.mode = "process"
                 except _SerialFallback:
                     pending = [
                         (i, spec) for i, spec in pending if not done[i]
                     ]
                     _run_serial(worker, pending, policy, metrics, results,
-                                advance, should_cancel, batcher)
+                                advance, should_cancel)
                     metrics.mode = "serial"
             else:
                 _run_serial(worker, pending, policy, metrics, results,
-                            advance, should_cancel, batcher)
+                            advance, should_cancel)
                 metrics.mode = "serial"
         metrics.count("jobs_executed", len(pending))
 
@@ -320,20 +284,6 @@ def _run_jobs_traced(
 # ----------------------------------------------------------------------
 # Serial path
 # ----------------------------------------------------------------------
-def _run_batch(
-    batch_worker: Callable[[List[Any]], List[Any]],
-    payloads: List[Any],
-) -> List[Any]:
-    """Invoke a batch worker, enforcing its one-result-per-job contract."""
-    values = list(batch_worker(payloads))
-    if len(values) != len(payloads):
-        raise JobExecutionError(
-            f"batch worker returned {len(values)} result(s) for "
-            f"{len(payloads)} job(s)"
-        )
-    return values
-
-
 def _run_serial(
     worker: Callable[[Any], Any],
     pending: Sequence[Tuple[int, JobSpec]],
@@ -342,12 +292,7 @@ def _run_serial(
     results: List[Any],
     advance: Optional[Callable[[int], None]] = None,
     should_cancel: Optional[Callable[[], bool]] = None,
-    batch_worker: Optional[Callable[[List[Any]], List[Any]]] = None,
 ) -> None:
-    if batch_worker is not None:
-        _run_serial_batched(batch_worker, pending, policy, metrics,
-                            results, advance, should_cancel)
-        return
     for index, spec in pending:
         _check_cancel(should_cancel)
         attempts = 0
@@ -370,58 +315,6 @@ def _run_serial(
         _account_usage(metrics, _usage_since(before))
         if advance is not None:
             advance(1)
-
-
-def _run_serial_batched(
-    batch_worker: Callable[[List[Any]], List[Any]],
-    pending: Sequence[Tuple[int, JobSpec]],
-    policy: RunPolicy,
-    metrics: RunMetrics,
-    results: List[Any],
-    advance: Optional[Callable[[int], None]] = None,
-    should_cancel: Optional[Callable[[], bool]] = None,
-) -> None:
-    """Serial path with vectorized groups instead of a per-job loop.
-
-    Groups are deterministic (input order, fixed size), so batch
-    workers whose results are bit-identical to the per-job worker make
-    this path indistinguishable from :func:`_run_serial` except in
-    wall-clock.  Cancellation is polled between groups; a group that
-    fails with a non-domain error is retried whole.
-    """
-    group_size = policy.chunk_size or _SERIAL_BATCH_SIZE
-    for start in range(0, len(pending), group_size):
-        group = list(pending[start:start + group_size])
-        _check_cancel(should_cancel)
-        attempts = 0
-        before = _usage_snapshot()
-        while True:
-            try:
-                with obs_trace.span(
-                    "runtime.batch", kind=group[0][1].kind,
-                    jobs=len(group),
-                ):
-                    values = _run_batch(
-                        batch_worker, [spec.payload for _, spec in group]
-                    )
-                break
-            except MnsimError:
-                raise
-            except Exception as exc:
-                attempts += 1
-                metrics.count("worker_failures")
-                if attempts > policy.retries:
-                    raise _job_error(
-                        group[0][1], attempts, exc,
-                        jobs_in_chunk=len(group),
-                    ) from None
-                metrics.count("retries")
-        for (index, _spec), value in zip(group, values):
-            results[index] = value
-        metrics.count("batched_jobs", len(group))
-        _account_usage(metrics, _usage_since(before))
-        if advance is not None:
-            advance(len(group))
 
 
 # ----------------------------------------------------------------------
@@ -512,16 +405,25 @@ def _noop(_: Any) -> None:
 # ----------------------------------------------------------------------
 # Resource accounting (chunk boundaries)
 # ----------------------------------------------------------------------
-def _usage_snapshot() -> Dict[str, float]:
+#: Solver counters a usage delta carries: resource key -> event label
+#: on ``repro_solver_events_total`` (``fixed_point_iterations`` is the
+#: historical key for solver rounds).
+_SOLVER_EVENTS = (
+    ("fixed_point_iterations", "fixed_point_iterations"),
+    ("pointwise_solves", "pointwise_solve"),
+)
+
+
+def _usage_snapshot(solver: Optional[bool] = None) -> Dict[str, float]:
     """Point-in-time usage of *this* process, for delta accounting.
 
     Wall/CPU seconds and peak RSS come from ``resource.getrusage``
-    (``os.times`` fallback where unavailable, RSS 0 there); the solver
-    counters piggy-back so a chunk's solver-round (historical key
-    ``fixed_point_iterations``) and batched-vs-pointwise solve deltas
-    ride the same snapshot.  The
-    counters only move while observability is enabled — the deltas are
-    simply zero in a disabled run.
+    (``os.times`` fallback where unavailable, RSS 0 there).  The solver
+    counters of :data:`_SOLVER_EVENTS` ride the same snapshot, but are
+    read only when ``solver`` is true (default: while tracing is on).
+    They only move while tracing is on, and reading them in an untraced
+    run would register the counter in the global registry and cost two
+    metric lookups per job.
     """
     wall = time.perf_counter()
     if _resource is not None:
@@ -535,39 +437,31 @@ def _usage_snapshot() -> Dict[str, float]:
         times = os.times()
         cpu = times.user + times.system
         rss = 0.0
-    events = obs_metrics.counter("repro_solver_events_total")
-    return {
-        "wall": wall,
-        "cpu": cpu,
-        "rss": rss,
-        "fixed_point_iterations": events.total(
-            event="fixed_point_iterations"
-        ),
-        "pointwise_solves": events.total(event="pointwise_solve"),
-        "batched_solves": obs_metrics.counter(
-            "repro_solver_batched_solves_total"
-        ).total(),
-    }
+    snapshot = {"wall": wall, "cpu": cpu, "rss": rss}
+    if obs_trace.enabled() if solver is None else solver:
+        events = obs_metrics.counter("repro_solver_events_total")
+        for key, event in _SOLVER_EVENTS:
+            snapshot[key] = events.total(event=event)
+    return snapshot
 
 
 def _usage_since(before: Dict[str, float]) -> Dict[str, float]:
-    """The usage delta accumulated since ``before`` (same process)."""
-    after = _usage_snapshot()
-    return {
+    """The usage delta accumulated since ``before`` (same process).
+
+    The closing snapshot reads the solver counters exactly when
+    ``before`` did, so both ends of a delta share one tracing state
+    even if tracing was switched in between.
+    """
+    after = _usage_snapshot(solver=_SOLVER_EVENTS[0][0] in before)
+    usage = {
         "wall_seconds": after["wall"] - before["wall"],
         "cpu_seconds": after["cpu"] - before["cpu"],
         "peak_rss_bytes": after["rss"],
-        "fixed_point_iterations": (
-            after["fixed_point_iterations"]
-            - before["fixed_point_iterations"]
-        ),
-        "pointwise_solves": (
-            after["pointwise_solves"] - before["pointwise_solves"]
-        ),
-        "batched_solves": (
-            after["batched_solves"] - before["batched_solves"]
-        ),
     }
+    for key, _event in _SOLVER_EVENTS:
+        if key in before:
+            usage[key] = after[key] - before[key]
+    return usage
 
 
 def _account_usage(
@@ -597,15 +491,11 @@ def _run_chunk(
     worker: Callable[[Any], Any],
     payloads: List[Any],
     trace_context: Optional[Dict[str, Any]] = None,
-    batch_worker: Optional[Callable[[List[Any]], List[Any]]] = None,
 ) -> Tuple[
     List[Any], Optional[List[Dict[str, Any]]], Dict[str, float]
 ]:
-    """Executed inside a worker process: run one chunk of payloads.
-
-    With a ``batch_worker`` the whole chunk is one vectorized call
-    (wrapped in a single ``runtime.batch`` span); otherwise each
-    payload runs through ``worker`` under its own ``runtime.job`` span.
+    """Executed inside a worker process: run one chunk of payloads,
+    each through ``worker`` under its own ``runtime.job`` span.
 
     ``trace_context`` is the dispatcher's :func:`repro.obs.trace.
     current_context` payload: when present, this worker adopts it (so
@@ -619,13 +509,6 @@ def _run_chunk(
     """
     obs_trace.activate(trace_context)
     before = _usage_snapshot()
-    if batch_worker is not None:
-        if trace_context is None:
-            results = _run_batch(batch_worker, payloads)
-            return results, None, _usage_since(before)
-        with obs_trace.span("runtime.batch", jobs=len(payloads)):
-            results = _run_batch(batch_worker, payloads)
-        return results, obs_trace.collect(), _usage_since(before)
     if trace_context is None:
         results = [worker(payload) for payload in payloads]
         return results, None, _usage_since(before)
@@ -645,7 +528,6 @@ def _run_parallel(
     done: List[bool],
     advance: Optional[Callable[[int], None]] = None,
     should_cancel: Optional[Callable[[], bool]] = None,
-    batch_worker: Optional[Callable[[List[Any]], List[Any]]] = None,
 ) -> None:
     small_sweep = len(pending) < policy.worker_count * _SMALL_SWEEP_PER_WORKER
     chunks_per_worker = 2 if small_sweep else 4
@@ -680,7 +562,7 @@ def _run_parallel(
             context = dict(context, parent=chunk_span.span_id)
         future = executor.submit(
             _run_chunk, worker, [spec.payload for _, spec in chunk],
-            context, batch_worker,
+            context,
         )
         metrics.count("chunks_dispatched")
         deadline = (
@@ -806,8 +688,6 @@ def _run_parallel(
                     ):
                         results[index] = value
                         done[index] = True
-                    if batch_worker is not None:
-                        metrics.count("batched_jobs", len(chunks[ci]))
                     if advance is not None:
                         advance(len(chunks[ci]))
         clean_exit = True

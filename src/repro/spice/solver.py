@@ -54,9 +54,9 @@ Performance architecture (see DESIGN.md S3):
 ``BENCH_spice.json`` at the repo root.
 
 Observability (DESIGN.md S18): with :func:`repro.obs.enable` on, every
-solve opens ``solver.solve`` / ``solver.solve_many`` /
-``solver.solve_batch`` spans with nested ``solver.assemble`` /
-``solver.factorize`` child spans, and structural-assembly cache hits,
+solve opens ``solver.solve`` / ``solver.solve_many`` spans with nested
+``solver.assemble`` / ``solver.factorize`` child spans, and
+structural-assembly cache hits,
 factorizations and rounds are counted on ``repro_solver_events_total``.
 Per-round step sizes are attached to the solve span only under
 ``repro.obs.enable(debug=True)``.  All hooks are no-ops by default — the
@@ -323,18 +323,11 @@ class CrossbarSolution:
 
 @dataclass
 class CrossbarSolutionBatch:
-    """Results of a batched solve: one leading ``K`` axis per field.
+    """Results of a multi-vector solve: one leading ``K`` axis per field.
 
-    Produced by :meth:`CrossbarNetwork.solve_many` and
-    :func:`solve_batch`.  Indexing with ``batch[k]`` recovers the
-    ``k``-th :class:`CrossbarSolution`; the stacked arrays support
-    vectorized post-processing of whole sweeps.
-
-    ``failed`` is only populated by ``solve_batch(...,
-    on_singular="mark")``: a true entry marks a member whose system was
-    singular (or produced non-finite voltages) — its result arrays are
-    NaN and ``converged`` is false.  It stays ``None`` on paths that
-    raise instead of marking.
+    Produced by :meth:`CrossbarNetwork.solve_many`.  Indexing with
+    ``batch[k]`` recovers the ``k``-th :class:`CrossbarSolution`; the
+    stacked arrays support vectorized post-processing of whole sweeps.
     """
 
     output_voltages: np.ndarray  # (K, N)
@@ -344,7 +337,6 @@ class CrossbarSolutionBatch:
     total_power: np.ndarray  # (K,)
     iterations: np.ndarray  # (K,) int
     converged: np.ndarray  # (K,) bool
-    failed: Optional[np.ndarray] = None  # (K,) bool, solve_batch only
 
     def __len__(self) -> int:
         return self.output_voltages.shape[0]
@@ -713,9 +705,8 @@ class CrossbarNetwork:
         once per vector.
 
         Nonlinear devices shift every cell's operating point with the
-        inputs, so each vector keeps its own Newton solve; the batch
-        runs through :func:`solve_batch`, bit-identical per vector to
-        :meth:`solve`.
+        inputs, so each vector runs its own :meth:`solve` (one
+        ``solver.solve`` span each) and the results are stacked.
         """
         inputs = np.asarray(inputs, dtype=float)
         if inputs.ndim != 2 or inputs.shape[1] != self.rows:
@@ -732,9 +723,10 @@ class CrossbarNetwork:
             batch=k,
         ):
             if self._is_nonlinear():
-                return solve_batch(
-                    [self] * k, inputs, tolerance, max_iterations
-                )
+                return _stack_solutions([
+                    self.solve(vector, tolerance, max_iterations)
+                    for vector in inputs
+                ])
             conductances = self._base_conductances()
             matrix = self._matrix(conductances)
             voltages = _finite(
@@ -814,160 +806,20 @@ def _finite(voltages: np.ndarray) -> np.ndarray:
     return voltages
 
 
-# ----------------------------------------------------------------------
-# Batched solving (DESIGN.md S22)
-# ----------------------------------------------------------------------
-#: Histogram buckets for ``repro_solver_batch_size`` (members per call).
-_BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-
-
-def _count_batched_solve(batch: int) -> None:
-    """Record one ``solve_batch`` call on the obs metrics (when on)."""
-    if _obs_trace.enabled():
-        _obs_metrics.histogram(
-            "repro_solver_batch_size",
-            "Members per solve_batch call",
-            buckets=_BATCH_SIZE_BUCKETS,
-        ).observe(float(batch))
-        _obs_metrics.counter(
-            "repro_solver_batched_solves_total",
-            "Crossbar solves executed through the batched path",
-        ).inc(batch)
-
-
-def solve_batch(
-    networks: Sequence[CrossbarNetwork],
-    inputs: np.ndarray,
-    tolerance: float = _DEFAULT_TOLERANCE,
-    max_iterations: int = _DEFAULT_MAX_ITERATIONS,
-    *,
-    on_singular: str = "raise",
-) -> CrossbarSolutionBatch:
-    """Solve ``B`` same-shape crossbars, one input vector each.
-
-    Every member runs the same :meth:`CrossbarNetwork._newton` routine
-    as :meth:`CrossbarNetwork.solve`, so each result is bit-identical
-    to the point-wise solve by construction — the contract the
-    Monte-Carlo / DSE / fault layers rely on for schedule-independent
-    reproducibility (and the reason the batched path never changes
-    cache keys).  The batch shares one cached
-    :class:`_CrossbarStructure` and one ``solver.solve_batch`` span.
-
-    Parameters
-    ----------
-    networks:
-        The batch members.  All must share one shape and one device
-        model; wire/sense parameters and fault masks may differ freely
-        per member.
-    inputs:
-        Input voltage vectors, shape ``(B, M)`` — row ``b`` drives
-        ``networks[b]``.
-    tolerance / max_iterations:
-        Newton knobs, as in :meth:`CrossbarNetwork.solve`.
-    on_singular:
-        ``"raise"`` (default) surfaces the first singular member as
-        :class:`~repro.errors.SolverError`, like the point-wise path.
-        ``"mark"`` records the member in the result's ``failed`` array
-        (NaN outputs, ``converged=False``) and keeps solving the rest —
-        the fault-campaign contract, where a singular mask is a valid
-        *failed trial*, not an error.
-    """
-    networks = list(networks)
-    if not networks:
-        raise SolverError("solve_batch needs at least one network")
-    if on_singular not in ("raise", "mark"):
-        raise SolverError(
-            f"on_singular must be 'raise' or 'mark', got {on_singular!r}"
-        )
-    first = networks[0]
-    for net in networks:
-        if (net.rows, net.cols) != (first.rows, first.cols):
-            raise SolverError(
-                "solve_batch members must share one shape; got "
-                f"{net.rows}x{net.cols} and {first.rows}x{first.cols}"
-            )
-        if not (net.device is first.device or net.device == first.device):
-            raise SolverError(
-                "solve_batch members must share one device model"
-            )
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.shape != (len(networks), first.rows):
-        raise SolverError(
-            f"batched inputs must have shape ({len(networks)}, "
-            f"{first.rows}), got {inputs.shape}"
-        )
-    solutions: List[Optional[CrossbarSolution]] = []
-    with _obs_trace.span(
-        "solver.solve_batch", rows=first.rows, cols=first.cols,
-        batch=len(networks), nonlinear=first._is_nonlinear(),
-    ):
-        _count_batched_solve(len(networks))
-        for net, member_inputs in zip(networks, inputs):
-            try:
-                nodes = net._newton(
-                    net._rhs(member_inputs), tolerance, max_iterations
-                )
-            except SolverError:
-                if on_singular == "raise":
-                    raise
-                solutions.append(None)
-                continue
-            voltages, conductances, iterations, converged = nodes
-            solutions.append(net._package(
-                voltages, conductances, member_inputs, iterations,
-                converged,
-            ))
-        if _obs_trace.enabled():
-            _count_solver_event("fixed_point_iterations", sum(
-                s.iterations for s in solutions if s is not None
-            ))
-    return _stack_solutions(
-        solutions, first.rows, first.cols, mark=(on_singular == "mark")
-    )
-
-
 def _stack_solutions(
-    solutions: List[Optional[CrossbarSolution]],
-    rows: int,
-    cols: int,
-    mark: bool,
+    solutions: Sequence[CrossbarSolution],
 ) -> CrossbarSolutionBatch:
-    """Stack per-member results; failed (``None``) members become NaN
-    rows with ``iterations=0`` and ``converged=False``.
-
-    The ``failed`` field is only set under ``mark`` (``on_singular=
-    "mark"``) — raise-mode results keep it ``None``, like the
-    point-wise path and ``solve_many``.
-    """
-    batch = len(solutions)
-    output_voltages = np.full((batch, cols), np.nan)
-    cell_voltages = np.full((batch, rows, cols), np.nan)
-    cell_currents = np.full((batch, rows, cols), np.nan)
-    input_currents = np.full((batch, rows), np.nan)
-    total_power = np.full(batch, np.nan)
-    iterations = np.zeros(batch, dtype=np.int64)
-    converged = np.zeros(batch, dtype=bool)
-    failed = np.zeros(batch, dtype=bool)
-    for index, solution in enumerate(solutions):
-        if solution is None:
-            failed[index] = True
-            continue
-        output_voltages[index] = solution.output_voltages
-        cell_voltages[index] = solution.cell_voltages
-        cell_currents[index] = solution.cell_currents
-        input_currents[index] = solution.input_currents
-        total_power[index] = solution.total_power
-        iterations[index] = solution.iterations
-        converged[index] = solution.converged
+    """Stack per-vector solutions along a leading ``K`` axis."""
     return CrossbarSolutionBatch(
-        output_voltages=output_voltages,
-        cell_voltages=cell_voltages,
-        cell_currents=cell_currents,
-        input_currents=input_currents,
-        total_power=total_power,
-        iterations=iterations,
-        converged=converged,
-        failed=failed if mark else None,
+        output_voltages=np.stack([s.output_voltages for s in solutions]),
+        cell_voltages=np.stack([s.cell_voltages for s in solutions]),
+        cell_currents=np.stack([s.cell_currents for s in solutions]),
+        input_currents=np.stack([s.input_currents for s in solutions]),
+        total_power=np.array([s.total_power for s in solutions]),
+        iterations=np.array(
+            [s.iterations for s in solutions], dtype=np.int64
+        ),
+        converged=np.array([s.converged for s in solutions], dtype=bool),
     )
 
 

@@ -11,7 +11,6 @@ from repro.accuracy.montecarlo import (
 )
 from repro.errors import ConfigError, SolverError
 from repro.runtime.cache import ResultCache
-from repro.runtime.pool import RunPolicy
 from repro.spice.solver import CrossbarNetwork
 from repro.tech import get_memristor_model
 
@@ -162,52 +161,6 @@ class TestValidation:
             run_monte_carlo(device, 8, SEG_45NM, rng, jobs=2)
 
 
-class TestBatchedParity:
-    """The batched trial worker is byte-identical to the point-wise
-    path for every ``jobs`` setting (DESIGN.md S22)."""
-
-    def _pointwise(self, device, **kwargs):
-        from repro.runtime.pool import RunPolicy
-        return run_monte_carlo(
-            device, 16, SEG_45NM, seed=11, trials=6,
-            policy=RunPolicy(batch_within_chunk=False), **kwargs,
-        )
-
-    def test_batched_matches_pointwise_serial(self, device):
-        batched = run_monte_carlo(device, 16, SEG_45NM, seed=11,
-                                  trials=6)
-        assert np.array_equal(batched.samples,
-                              self._pointwise(device).samples)
-
-    def test_batched_matches_pointwise_parallel(self, device):
-        batched = run_monte_carlo(device, 16, SEG_45NM, seed=11,
-                                  trials=6, jobs=2)
-        assert np.array_equal(batched.samples,
-                              self._pointwise(device).samples)
-
-    def test_multi_input_trials_fall_back_identically(self, device):
-        """``inputs_per_trial > 1`` uses the per-trial solve_many path
-        inside the batch worker's fallback — still byte-identical."""
-        from repro.runtime.pool import RunPolicy
-        batched = run_monte_carlo(device, 12, SEG_45NM, seed=13,
-                                  trials=4, inputs_per_trial=3)
-        pointwise = run_monte_carlo(
-            device, 12, SEG_45NM, seed=13, trials=4, inputs_per_trial=3,
-            policy=RunPolicy(batch_within_chunk=False),
-        )
-        assert np.array_equal(batched.samples, pointwise.samples)
-
-    def test_full_input_mode_batched_identically(self, device):
-        from repro.runtime.pool import RunPolicy
-        batched = run_monte_carlo(device, 12, SEG_45NM, seed=17,
-                                  trials=4, input_mode="full")
-        pointwise = run_monte_carlo(
-            device, 12, SEG_45NM, seed=17, trials=4, input_mode="full",
-            policy=RunPolicy(batch_within_chunk=False),
-        )
-        assert np.array_equal(batched.samples, pointwise.samples)
-
-
 def _stall_solver(monkeypatch):
     """Every circuit solve reports ``converged=False`` (same voltages)."""
     newton = CrossbarNetwork._newton
@@ -223,15 +176,13 @@ class TestNonConvergedSolves:
     """A non-converged solve never becomes an error sample or a cache
     entry: the trial raises SolverError on every execution path."""
 
-    @pytest.mark.parametrize("batched", (True, False))
     def test_seeded_trials_raise_and_cache_nothing(self, device, tmp_path,
-                                                   monkeypatch, batched):
+                                                   monkeypatch):
         _stall_solver(monkeypatch)
         with ResultCache(tmp_path) as cache:
             with pytest.raises(SolverError, match="did not converge"):
                 run_monte_carlo(
                     device, 8, SEG_45NM, seed=3, trials=4, cache=cache,
-                    policy=RunPolicy(batch_within_chunk=batched),
                 )
             assert cache.stats().entries == 0
 

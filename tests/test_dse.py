@@ -230,24 +230,40 @@ class TestWeightedOptimal:
             weighted_optimal([], {"area": 1.0})
 
 
-class TestBatchedParity:
-    """Shape-grouped accuracy sharing returns the exact same points as
-    the historical per-point evaluation, for every ``jobs`` setting."""
+class TestAccuracyMemo:
+    """Parallelism degree never changes crossbar accuracy (Sec. VII.C.1),
+    so a sweep evaluates the accuracy model once per parallelism-free
+    design and reuses it, without changing any point."""
 
-    def test_batched_matches_pointwise_serial(
-        self, base_config, small_space, large_layer_network, points
+    def test_one_evaluation_per_parallelism_free_design(
+        self, base_config, large_layer_network, monkeypatch
     ):
-        from repro.runtime.pool import RunPolicy
-        pointwise = explore(
-            base_config, large_layer_network, small_space,
-            policy=RunPolicy(batch_within_chunk=False),
-        )
-        assert points == pointwise
+        from repro.accuracy.model import AccuracyModel
+        from repro.arch import accelerator
+        from repro.arch.accelerator import Accelerator
 
-    def test_batched_matches_pointwise_parallel(
-        self, base_config, small_space, large_layer_network, points
-    ):
-        parallel = explore(
-            base_config, large_layer_network, small_space, jobs=2
+        space = DesignSpace(
+            crossbar_sizes=(64, 128),
+            parallelism_degrees=(1, 32),
+            interconnect_nodes=(28, 45),
         )
-        assert points == parallel
+        evaluated = []
+        network_accuracy = AccuracyModel.network_accuracy
+
+        def counting(self, *args, **kwargs):
+            evaluated.append(self.config)
+            return network_accuracy(self, *args, **kwargs)
+
+        accelerator._network_accuracy.cache_clear()
+        monkeypatch.setattr(AccuracyModel, "network_accuracy", counting)
+        points = explore(base_config, large_layer_network, space)
+        assert len(points) == 8
+        designs = {
+            (p.crossbar_size, p.interconnect_tech) for p in points
+        }
+        assert len(evaluated) == len(set(evaluated)) == len(designs) == 4
+
+        for config, point in zip(space.configs(base_config), points):
+            accelerator._network_accuracy.cache_clear()
+            fresh = Accelerator(config, large_layer_network).summary()
+            assert fresh == point.summary

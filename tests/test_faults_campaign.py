@@ -14,7 +14,6 @@ from repro.faults.campaign import (
 )
 from repro.runtime.cache import ResultCache
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.pool import RunPolicy
 from repro.spice.solver import CrossbarNetwork
 
 
@@ -132,6 +131,24 @@ class TestAggregation:
             assert point.mean_error is None
             assert point.relative_accuracy is None
 
+    def test_singular_masks_are_failed_trials(self, tmp_path):
+        """line_open makes some faulted systems singular: those trials
+        are marked failed with no error number (in the result and in
+        the cache rows); the solvable ones still carry one."""
+        spec = _tiny_spec(fault_modes=("line_open",),
+                          fault_rates=(0.15,), trials=8)
+        with ResultCache(tmp_path) as cache:
+            (point,) = run_campaign(spec, cache=cache).points
+            rows = cache._conn.execute(
+                "SELECT value FROM results WHERE kind = 'faults-trial'"
+            ).fetchall()
+        assert 0 < point.failures < point.trials  # genuinely mixed
+        assert point.mean_error is not None
+        trials = [json.loads(value) for (value,) in rows]
+        assert sum(t["failed"] for t in trials) == point.failures
+        for trial in trials:
+            assert (trial["error"] is None) == trial["failed"]
+
     def test_ci_fields_consistent(self):
         result = run_campaign(_tiny_spec(fault_rates=(0.1,), trials=5))
         (point,) = result.points
@@ -180,54 +197,12 @@ class TestCli:
         assert code != 0
 
 
-class TestBatchedParity:
-    """Batched mask evaluation is byte-identical to the point-wise
-    trial loop, including singular (failed) trials."""
-
-    def test_batched_matches_pointwise_serial(self):
-        from repro.runtime.pool import RunPolicy
-        spec = _tiny_spec(networks=("crossbar", "mlp:12,6,4"),
-                          fault_modes=("stuck_mixed", "open_cell"),
-                          fault_rates=(0.0, 0.1))
-        batched = run_campaign(spec)
-        pointwise = run_campaign(
-            spec, policy=RunPolicy(batch_within_chunk=False)
-        )
-        assert batched.to_json() == pointwise.to_json()
-
-    def test_batched_matches_pointwise_parallel(self):
-        from repro.runtime.pool import RunPolicy
-        spec = _tiny_spec(fault_modes=("stuck_mixed", "drift"),
-                          fault_rates=(0.05, 0.1))
-        batched = run_campaign(spec, jobs=2)
-        pointwise = run_campaign(
-            spec, policy=RunPolicy(batch_within_chunk=False)
-        )
-        assert batched.to_json() == pointwise.to_json()
-
-    def test_singular_trials_batched_identically(self):
-        """line_open at high rate makes some systems singular; the
-        mark-and-continue batch path must count the same failures."""
-        from repro.runtime.pool import RunPolicy
-        spec = _tiny_spec(fault_modes=("line_open",),
-                          fault_rates=(0.3,), trials=8)
-        batched = run_campaign(spec)
-        pointwise = run_campaign(
-            spec, policy=RunPolicy(batch_within_chunk=False)
-        )
-        assert batched.to_json() == pointwise.to_json()
-        point = batched.points[0]
-        assert point.failures > 0  # the scenario actually bites
-
-
 class TestNonConvergedSolves:
     """A non-converged solve counts as a failed trial, exactly like a
     singular mask: its voltages never become an error number, in the
     result or in a cache row."""
 
-    @pytest.mark.parametrize("batched", (True, False))
-    def test_counted_as_failed_trials(self, tmp_path, monkeypatch,
-                                      batched):
+    def test_counted_as_failed_trials(self, tmp_path, monkeypatch):
         newton = CrossbarNetwork._newton
 
         def stalled(self, *args, **kwargs):
@@ -240,7 +215,6 @@ class TestNonConvergedSolves:
         with ResultCache(tmp_path) as cache:
             result = run_campaign(
                 _tiny_spec(fault_rates=(0.1,)), cache=cache,
-                policy=RunPolicy(batch_within_chunk=batched),
             )
             rows = cache._conn.execute(
                 "SELECT value FROM results WHERE kind = 'faults-trial'"

@@ -79,6 +79,13 @@ class TestEnginePropagation:
         run_jobs(_square, _specs(4), policy=policy)
         assert trace.spans() == []
 
+    def test_disabled_run_registers_no_metrics(self):
+        """Per-job usage accounting must not touch the global registry
+        (nor pay its lookups) while tracing is off."""
+        run_jobs(_square, _specs(3))
+        run_jobs(_square, _specs(4), policy=RunPolicy(jobs=2))
+        assert obs.REGISTRY.names() == []
+
     def test_cache_spans_and_counters(self, tmp_path):
         from repro.runtime.cache import ResultCache
 
@@ -186,44 +193,24 @@ class TestWorkerTeardownCounter:
         assert failures.value() >= 1
 
 
-class TestBatchedSolveInstrumentation:
-    def test_solve_batch_records_size_and_count(self):
-        from repro.spice.solver import CrossbarNetwork, solve_batch
+class TestSolveManyInstrumentation:
+    def test_nonlinear_solve_many_opens_one_solve_span_per_vector(self):
+        from repro.spice.solver import CrossbarNetwork
         from repro.tech import get_memristor_model
 
         obs.enable()
-        device = get_memristor_model("RRAM")
         rng = np.random.default_rng(61)
-        networks, inputs = [], []
-        for _ in range(5):
-            networks.append(CrossbarNetwork(
-                rng.uniform(1e5, 1e6, size=(8, 8)), 0.25, 1e3,
-                device=device,
-            ))
-            inputs.append(rng.uniform(0.1, 1.0, size=8))
-        solve_batch(networks, np.stack(inputs))
-
-        names = [s["name"] for s in trace.spans()]
-        assert "solver.solve_batch" in names
-        batch_span = next(
-            s for s in trace.spans() if s["name"] == "solver.solve_batch"
+        network = CrossbarNetwork(
+            rng.uniform(1e5, 1e6, size=(8, 8)), 0.25, 1e3,
+            device=get_memristor_model("RRAM"),
         )
-        assert batch_span["attrs"]["batch"] == 5
+        network.solve_many(rng.uniform(0.1, 1.0, size=(5, 8)))
 
-        hist = obs.REGISTRY.get("repro_solver_batch_size")
-        assert hist.snapshot()["count"] == 1
-        assert hist.snapshot()["sum"] == 5.0
-        counter = obs.REGISTRY.get("repro_solver_batched_solves_total")
-        assert counter.value() == 5
-
-    def test_disabled_tracing_records_nothing(self):
-        from repro.spice.solver import CrossbarNetwork, solve_batch
-
-        rng = np.random.default_rng(62)
-        networks = [
-            CrossbarNetwork(rng.uniform(1e5, 1e6, size=(6, 6)),
-                            0.25, 1e3, device=None)
-            for _ in range(3)
-        ]
-        solve_batch(networks, rng.uniform(0.1, 1.0, size=(3, 6)))
-        assert obs.REGISTRY.get("repro_solver_batch_size") is None
+        spans = trace.spans()
+        many = next(s for s in spans if s["name"] == "solver.solve_many")
+        assert many["attrs"]["batch"] == 5
+        solves = [s for s in spans if s["name"] == "solver.solve"]
+        assert len(solves) == 5
+        assert all(s["parent_id"] == many["span_id"] for s in solves)
+        events = obs.REGISTRY.get("repro_solver_events_total")
+        assert events.value(event="pointwise_solve") == 5

@@ -61,33 +61,6 @@ def _count_calls(path_str):
     return "ran"
 
 
-def _square_batch(payloads):
-    """Vectorized counterpart of ``_square`` (the bit-identity contract)."""
-    return [p * p for p in payloads]
-
-
-def _short_batch(payloads):
-    """Violates the one-result-per-payload contract."""
-    return [p * p for p in payloads][:-1]
-
-
-def _domain_error_batch(payloads):
-    raise MappingError("layer does not fit")
-
-
-def _poison_batch(payloads):
-    raise AssertionError("batch worker must not run")
-
-
-def _flaky_batch(payloads):
-    """Whole-group failure on the first attempt, then recovers."""
-    marker = Path(payloads[0])
-    if not marker.exists():
-        marker.touch()
-        raise RuntimeError("transient batch failure")
-    return ["recovered"] * len(payloads)
-
-
 class TestPolicy:
     def test_defaults_are_serial(self):
         assert RunPolicy().worker_count == 1
@@ -230,85 +203,3 @@ class TestCacheIntegration:
         run_jobs(_count_calls, specs, cache=cache)
         assert counter.read_text() == "x" * 4
         assert cache.stats().entries == 0
-
-
-class TestBatchWorker:
-    """Vectorized chunk execution (DESIGN.md S22): same results, same
-    error/retry/cache semantics, just fewer worker calls."""
-
-    def test_serial_batched_matches_pointwise(self):
-        payloads = list(range(17))
-        pointwise = run_jobs(_square, _specs(payloads))
-        batched = run_jobs(_square, _specs(payloads),
-                           batch_worker=_square_batch)
-        assert batched == pointwise
-
-    def test_parallel_batched_matches_serial(self):
-        payloads = list(range(23))
-        serial = run_jobs(_square, _specs(payloads))
-        batched = run_jobs(
-            _square, _specs(payloads),
-            policy=RunPolicy(jobs=3, chunk_size=4),
-            batch_worker=_square_batch,
-        )
-        assert batched == serial
-
-    def test_batch_within_chunk_off_forces_pointwise(self):
-        out = run_jobs(
-            _square, _specs([1, 2, 3]),
-            policy=RunPolicy(batch_within_chunk=False),
-            batch_worker=_poison_batch,  # would raise if ever called
-        )
-        assert out == [1, 4, 9]
-
-    def test_batched_jobs_counted_in_metrics(self):
-        metrics = RunMetrics()
-        run_jobs(_square, _specs(list(range(6))),
-                 batch_worker=_square_batch, metrics=metrics)
-        assert metrics.counters["batched_jobs"] == 6
-
-    def test_length_contract_enforced(self):
-        with pytest.raises(JobExecutionError) as info:
-            run_jobs(_square, _specs([1, 2, 3]),
-                     policy=RunPolicy(retries=0),
-                     batch_worker=_short_batch)
-        assert "batch worker" in str(info.value)
-
-    def test_domain_error_propagates_unwrapped(self):
-        with pytest.raises(MappingError):
-            run_jobs(_square, _specs([1, 2, 3]),
-                     policy=RunPolicy(retries=2),
-                     batch_worker=_domain_error_batch)
-
-    def test_flaky_batch_group_retries_whole(self, tmp_path):
-        marker = tmp_path / "marker"
-        metrics = RunMetrics()
-        out = run_jobs(
-            _flaky, _specs([str(marker)] * 3),
-            policy=RunPolicy(retries=2),
-            batch_worker=_flaky_batch, metrics=metrics,
-        )
-        assert out == ["recovered"] * 3
-        assert metrics.counters["retries"] == 1
-
-    def test_cache_hits_skip_batch_worker(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        specs = _specs([1, 2, 3], keyed=True)
-        first = run_jobs(_square, specs, cache=cache,
-                         batch_worker=_square_batch)
-        # Second run replays from cache; the poison worker proves no
-        # batch (or point-wise) execution happens at all.
-        second = run_jobs(_square, specs, cache=cache,
-                          batch_worker=_poison_batch)
-        assert second == first == [1, 4, 9]
-
-    def test_unpicklable_batch_worker_falls_back_to_serial(self):
-        metrics = RunMetrics()
-        out = run_jobs(
-            _square, _specs([1, 2, 3]),
-            policy=RunPolicy(jobs=2),
-            batch_worker=lambda ps: [p * p for p in ps],
-            metrics=metrics,
-        )
-        assert out == [1, 4, 9]
-        assert metrics.mode == "serial"

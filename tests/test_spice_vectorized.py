@@ -196,6 +196,48 @@ class TestBatchedSolves:
             )
             assert batch.iterations[k] == single.iterations
 
+    @pytest.mark.parametrize("nonlinear", (False, True))
+    def test_bit_identical_to_looped_solve(self, nonlinear):
+        """Every array of every vector equals its own ``solve``, bit
+        for bit — including a zero vector, which settles in fewer
+        rounds than its driven neighbours."""
+        device = get_memristor_model("RRAM") if nonlinear else None
+        rng = np.random.default_rng(21)
+        network = CrossbarNetwork(
+            rng.uniform(1e5, 1e6, size=(12, 12)), 0.25, 1e3, device=device,
+        )
+        batch_inputs = rng.uniform(0.1, 1.0, size=(5, 12))
+        batch_inputs[2] = 0.0
+        batch = network.solve_many(batch_inputs)
+        for k in range(5):
+            single = network.solve(batch_inputs[k])
+            for field in ("output_voltages", "cell_voltages",
+                          "cell_currents", "input_currents"):
+                assert np.array_equal(
+                    getattr(batch, field)[k], getattr(single, field)
+                )
+            # The linear path sums power with one einsum over the batch.
+            assert batch.total_power[k] == pytest.approx(
+                single.total_power, rel=1e-12
+            )
+            assert batch.iterations[k] == single.iterations
+            assert bool(batch.converged[k]) == single.converged
+        if nonlinear:
+            assert len(set(batch.iterations.tolist())) > 1
+
+    def test_getitem_recovers_solution(self):
+        rng = np.random.default_rng(24)
+        network = CrossbarNetwork(
+            rng.uniform(1e5, 1e6, size=(8, 8)), 0.25, 1e3,
+        )
+        batch = network.solve_many(rng.uniform(0.1, 1.0, size=(3, 8)))
+        single = batch[1]
+        assert np.array_equal(single.output_voltages,
+                              batch.output_voltages[1])
+        assert np.array_equal(single.cell_currents,
+                              batch.cell_currents[1])
+        assert single.converged
+
     def test_batch_shape_validation(self):
         network = CrossbarNetwork(np.full((4, 4), 1e5), 1.0, 1e3)
         with pytest.raises(SolverError):
